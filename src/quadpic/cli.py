@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .decomp import declare_decomposition, registered_decomposition
@@ -218,6 +219,9 @@ def _cmd_relations(args) -> int:
     return EXIT_OK if verdict.fingerprint_equal_mod_tate else EXIT_FALSE
 
 
+_TATE_FACTOR = re.compile(r"T\s*\(\s*(-?\d+)\s*\)\s*\[\s*(-?\d+)\s*\]")
+
+
 def _parse_expression(text: str, model):
     """Products of det(p,m), e(p,m) and T(x)[y] factors with integer powers."""
     element = identity(model)
@@ -236,9 +240,10 @@ def _parse_expression(text: str, model):
         elif term.startswith("e"):
             factor = generator_e(_parse_form(term[1:].strip(), model), model)
         elif term.startswith("T"):
-            body = term[1:].strip()
-            x_part, _, y_part = body.partition("[")
-            twist = TateTwist(int(x_part.strip("() ")), int(y_part.strip("] ")))
+            match = _TATE_FACTOR.fullmatch(term)
+            if match is None:
+                raise ModelError(f"cannot parse Tate factor {term!r}; expected T(x)[y]")
+            twist = TateTwist(int(match.group(1)), int(match.group(2)))
             factor = tate_element(model, twist)
         else:
             raise ModelError(f"cannot parse factor {raw.strip()!r}")
@@ -289,6 +294,16 @@ def _cmd_validate(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _depth(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadpic",
@@ -298,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized drivers (fixed default)")
-    parser.add_argument("--lattice-depth", type=int, default=3,
+    parser.add_argument("--lattice-depth", type=_depth, default=3,
                         help="generic-splitting tower depth for the real backend")
     parser.add_argument("--model", default=None,
                         help="declared model file (JSON)")

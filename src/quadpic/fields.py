@@ -17,8 +17,13 @@ Two backends share one interface:
   families (monotonicity, ceiling, codimension-1 step, self-isotropy).
 
 Oracles are pure given a frozen lattice; the real backend grows its node
-set append-only and memoizes Witt indices (idempotent writes, safe for
-concurrent readers).
+set append-only and memoizes Witt indices.  Concurrent oracle reads
+(witt_index, phi_affine) of a lattice that nothing grows meanwhile give the
+serial answers; growing a lattice while others read it is not supported.
+
+Every oracle answer at an extension depends only on its oracle group (see
+token_groups): the level on the real backend, the token itself on the
+declared backend.  Lattice-wide sweeps evaluate once per group.
 """
 
 from __future__ import annotations
@@ -129,6 +134,8 @@ class ExtensionLattice:
         self._witt_cache: dict[tuple[str, str], int] = {}
         self._twist_cache: dict[tuple, object] = {}
         self._ancestor_cache: dict[str, frozenset[str]] = {}
+        # oracle groups, kept up to date by add_extension (see token_groups)
+        self._groups: dict[object, list[str]] = {}
         # registries used by the decomposition layer (see decomp.py)
         self.decompositions: dict[str, object] = {}
         self.class_parents: dict = {}
@@ -157,11 +164,14 @@ class ExtensionLattice:
             self._base = ext.token
         elif ext.parent is not None and ext.parent not in self._extensions:
             raise ModelError(f"unknown parent extension {ext.parent!r}")
-        self._extensions[ext.token] = ext
         if self.backend == REAL:
             if level is None:
                 raise ModelError("real-backend extension needs a level")
             self._levels[ext.token] = level
+            self._groups.setdefault(level, []).append(ext.token)
+        else:
+            self._groups[ext.token] = [ext.token]
+        self._extensions[ext.token] = ext
         return ext.token
 
     def extension(self, token: str) -> Extension:
@@ -172,6 +182,15 @@ class ExtensionLattice:
 
     def extension_tokens(self) -> list[str]:
         return sorted(self._extensions)
+
+    def token_groups(self) -> list[list[str]]:
+        """Every token, grouped so that each oracle answer is constant on a group.
+
+        One group per level on the real backend, one token per group on the
+        declared backend.  Groups list their tokens in insertion order and
+        must not be modified.
+        """
+        return list(self._groups.values())
 
     def level(self, token: str):
         if self.backend != REAL:
@@ -529,20 +548,52 @@ def real_lattice(forms=(), depth: int = 3, base_token: str = "base") -> Extensio
 # --------------------------------------------------------- declared models
 
 
+# (field, JSON type, required) for the entries of each model section
+_SCHEMA = {
+    "forms": (("id", str, True), ("dim", int, True), ("prime", str, False)),
+    "extensions": (("id", str, True), ("construction", str, True), ("parent", str, False)),
+    "witt": (("form", str, True), ("extension", str, True), ("index", int, True)),
+}
+
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
+def _section(data: dict, name: str) -> list:
+    """The entries of one model section, checked against _SCHEMA in one pass."""
+    items = data.get(name, [])
+    if not isinstance(items, list):
+        raise ModelError(f"{name} must be a list")
+    fields = _SCHEMA[name]
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ModelError(f"{name}[{i}] must be an object")
+        for key, kind, required in fields:
+            value = item.get(key)
+            if value is None:
+                if required:
+                    raise ModelError(f"{name}[{i}].{key} missing")
+            elif not isinstance(value, kind) or isinstance(value, bool):
+                raise ModelError(f"{name}[{i}].{key} must be {_TYPE_NAMES[kind]}")
+    return items
+
+
 def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLattice:
     """Build a declared lattice from parsed JSON data.
 
-    Structural defects (bad ids, parent cycles, non-total table) are
-    rejection errors; with check=True the four Witt invariant families are
-    also enforced, rejecting on any violation.
+    Structural defects (entries missing a field or of the wrong JSON type,
+    bad ids, parent cycles, non-total table) are rejection errors; with
+    check=True the four Witt invariant families are also enforced, rejecting
+    on any violation.
     """
+    if not isinstance(data, dict):
+        raise ModelError(f"model must be a JSON object, not {type(data).__name__}")
+    forms = _section(data, "forms")
+    extensions = _section(data, "extensions")
+    witt = _section(data, "witt")
     model = ExtensionLattice(DECLARED)
-    forms = data.get("forms", [])
-    extensions = data.get("extensions", [])
-    witt = data.get("witt", [])
 
     for item in forms:
-        q = QuadraticForm.declared(item["id"], int(item["dim"]))
+        q = QuadraticForm.declared(item["id"], item["dim"])
         if q.key in model._forms:
             raise ModelError(f"duplicate form id {q.key!r}")
         model.register_form(q, with_prime=False)
@@ -587,7 +638,7 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
 
     seen: set[tuple[str, str]] = set()
     for item in witt:
-        fk, tok, value = item["form"], item["extension"], int(item["index"])
+        fk, tok, value = item["form"], item["extension"], item["index"]
         if fk not in model._forms:
             raise ModelError(f"witt entry for unknown form {fk!r}")
         model.extension(tok)

@@ -122,11 +122,15 @@ class PicElement:
         return total
 
     def fingerprint(self) -> PhiFingerprint:
-        tokens = tuple(self.model.extension_tokens())
-        if self._fp_cache is not None and self._fp_cache[0] == tokens:
+        groups = self.model.token_groups()
+        # the lattice only grows, so its node count identifies its state
+        nodes = sum(map(len, groups))
+        if self._fp_cache is not None and self._fp_cache[0] == nodes:
             return self._fp_cache[1]
-        fp = PhiFingerprint({t: self.value_at(t) for t in tokens})
-        self._fp_cache = (tokens, fp)
+        fp = PhiFingerprint(
+            {t: value for group, value in _sweep(groups, self.value_at) for t in group}
+        )
+        self._fp_cache = (nodes, fp)
         return fp
 
     # ---------------------------------------------------------- det vector
@@ -173,9 +177,12 @@ class PicElement:
             return EqualityVerdict(True, True, "class vector and base twist agree")
         if diff.closure_value():
             return EqualityVerdict(False, True, "closure twist values differ")
-        for token in self.model.extension_tokens():
-            if diff.value_at(token):
-                return EqualityVerdict(False, True, f"twist values differ at {token}")
+        differing = [
+            min(group) for group, value in _sweep(self.model.token_groups(), diff.value_at)
+            if value
+        ]
+        if differing:
+            return EqualityVerdict(False, True, f"twist values differ at {min(differing)}")
         return EqualityVerdict(
             True, False, "fingerprints agree on every registered extension"
         )
@@ -220,6 +227,12 @@ class EqualityVerdict:
     @property
     def model_relative(self) -> bool:
         return not self.exact
+
+
+def _sweep(groups, evaluate):
+    """(group, value) for each oracle group; evaluate runs on one token per group."""
+    for group in groups:
+        yield group, evaluate(group[0])
 
 
 def fingerprint(x: PicElement) -> PhiFingerprint:
@@ -370,11 +383,12 @@ def inverse_identity_check(q: QuadraticForm, model) -> InverseCheckReport:
     q_prime = model.prime_of(q)
     product = generator_e(q, model) * generator_e(q_prime, model)
     expected = TateTwist(q.dim, 2 * q.dim + 1)
-    failures = []
-    for token in model.extension_tokens():
-        value = product.value_at(token)
-        if value != expected:
-            failures.append((token, value))
+    failures = sorted(
+        (token, value)
+        for group, value in _sweep(model.token_groups(), product.value_at)
+        if value != expected
+        for token in group
+    )
     return InverseCheckReport(q.key, expected, tuple(failures))
 
 
@@ -572,8 +586,9 @@ def motivically_equivalent(p: ProjectiveQuadric, q: ProjectiveQuadric, model) ->
     """Same motive: identical Witt profiles, cross-checked against det equality."""
     _ensure_towers(model, [p.canonical_form, q.canonical_form])
     witt_route = p.dim == q.dim and all(
-        model.witt_index(p.canonical_form, t) == model.witt_index(q.canonical_form, t)
-        for t in model.extension_tokens()
+        model.witt_index(p.canonical_form, group[0])
+        == model.witt_index(q.canonical_form, group[0])
+        for group in model.token_groups()
     )
     det_route = det(p, model).equality(det(q, model)).equal
     if witt_route != det_route:

@@ -51,11 +51,12 @@ ZERO_TWIST = TateTwist(0, 0)
 
 
 def split_quadric_sum(m: int, j: int) -> TateTwist:
-    """Sum over l < j of (m - 2l)[2m - 4l + 1] for a quadric of dimension m."""
-    total = ZERO_TWIST
-    for l in range(j):
-        total = total + TateTwist(m - 2 * l, 2 * m - 4 * l + 1)
-    return total
+    """Sum over l < j of (m - 2l)[2m - 4l + 1] for a quadric of dimension m.
+
+    Closed form for j >= 0: (jm - j(j-1))[j(2m+1) - 2j(j-1)].
+    """
+    pairs = j * (j - 1)
+    return TateTwist(j * m - pairs, j * (2 * m + 1) - 2 * pairs)
 
 
 def phi_affine(q: QuadraticForm, extension, model) -> TateTwist:

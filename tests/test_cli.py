@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quadpic import lattice_to_data, real_lattice, serialize_model
 from quadpic.cli import main
 from quadpic.decomp import Decomposition
@@ -214,6 +216,44 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{", encoding="utf-8")
     assert run(capsys, "--model", str(broken), "validate")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"forms": [{"dim": 3}]}, "forms[0].id missing"),
+        ([], "model must be a JSON object, not list"),
+        (
+            {
+                "forms": [{"id": "c1", "dim": 3}],
+                "extensions": [{"id": "k", "construction": "base"}],
+                "witt": [{"form": "c1", "index": 0}],
+            },
+            "witt[0].extension missing",
+        ),
+    ],
+    ids=["missing-id", "top-level-list", "witt-without-extension"],
+)
+def test_malformed_model_files_exit_two(tmp_path, capsys, data, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "--model", str(path), "validate")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_malformed_tate_factors_exit_two(capsys):
+    for expr in ("T(1)[2", "T1]2["):
+        code, out, err = run(capsys, "basis", "--expr", expr, "--maxr", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse Tate factor") and err.count("\n") == 1
+
+
+def test_negative_lattice_depth_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--lattice-depth", "-1", "validate", "--forms", "(5,0)"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--lattice-depth: must be >= 0" in out.err
 
 
 def test_byte_identical_reruns(capsys):

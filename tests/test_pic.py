@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from quadpic import (
     declare_decomposition,
     declared_lattice_from_data,
     det,
+    det_product,
     generator_e,
     identity,
     independent,
@@ -475,3 +478,87 @@ def test_broken_declared_decomposition_trips_the_cross_check():
     )
     with pytest.raises(DisagreementError):
         relations_check([P], [Q], model)
+
+
+# ------------------------------------------------------- grouped sweeps
+
+
+def pointwise(element):
+    return {t: element.value_at(t) for t in element.model.extension_tokens()}
+
+
+def test_fingerprint_matches_pointwise_values_as_the_lattice_grows():
+    rng = random.Random(11)
+    model = rich_lattice(depth=1)
+    elements = [generator_e(real(p, n - p), model) for n in range(1, 9) for p in range(n + 1)]
+    for _ in range(12):
+        sigs = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 3))]
+        elements.append(
+            tate_element(model, TateTwist(rng.randint(-3, 3), rng.randint(-3, 3)))
+            * det_product([quadric(p, m + 1) for p, m in sigs], model)
+        )
+    for x in elements:
+        assert x.fingerprint().entries == pointwise(x)
+
+    # queries add nodes after the fingerprints above were cached
+    before = len(model.extension_tokens())
+    model.ensure_splitting_tower(real(0, 16))
+    assert independent([real(0, 32), real(0, 16)], model).independent
+    assert len(model.extension_tokens()) > before
+    for x in elements:
+        assert x.fingerprint().entries == pointwise(x)
+
+
+def unsorted_declared_data(cpp_index):
+    """Tokens inserted as z, y, a (parents first), which is not sorted order.
+
+    c1 -> c1p -> c1pp is a prime chain; the Witt index of c1pp is the same
+    cpp_index at every token.
+    """
+    table = {
+        "z": {"c1": 0, "c1p": 0, "c2": 0, "c2p": 0},
+        "y": {"c1": 1, "c1p": 1, "c2": 0, "c2p": 0},
+        "a": {"c1": 1, "c1p": 2, "c2": 1, "c2p": 1},
+    }
+    return {
+        "forms": [
+            {"id": "c", "dim": 1, "prime": "cp"},
+            {"id": "cp", "dim": 2, "prime": "cpp"},
+            {"id": "cpp", "dim": 3},
+            {"id": "c1", "dim": 3, "prime": "c1p"},
+            {"id": "c1p", "dim": 4},
+            {"id": "c2", "dim": 3, "prime": "c2p"},
+            {"id": "c2p", "dim": 4},
+        ],
+        "extensions": [
+            {"id": "z", "construction": "base"},
+            {"id": "y", "parent": "z", "construction": "ff:c1"},
+            {"id": "a", "parent": "y", "construction": "ff:c2"},
+        ],
+        "witt": [
+            {"form": f, "extension": tok, "index": i}
+            for tok, row in table.items()
+            for f, i in {**row, "c": 0, "cp": 1, "cpp": cpp_index}.items()
+        ],
+    }
+
+
+def test_declared_fallback_equality_names_the_smallest_differing_token():
+    model = declared_lattice_from_data(unsorted_declared_data(cpp_index=1))
+    assert [g for group in model.token_groups() for g in group] == ["z", "y", "a"]
+    x = generator_e(model.form("c1"), model)
+    y = generator_e(model.form("c2"), model)
+    assert {t for t, v in pointwise(x * y**-1).items() if v} == {"y", "a"}
+    verdict = x.equality(y)
+    assert not verdict.equal and verdict.exact
+    assert verdict.reason == "twist values differ at a"
+
+
+def test_inverse_check_on_a_broken_table_lists_failures_in_token_order():
+    model = declared_lattice_from_data(unsorted_declared_data(cpp_index=0), check=False)
+    report = inverse_identity_check(model.form("c"), model)
+    assert [t for t, _ in report.failures] == ["a", "y", "z"]
+    assert all(v == TateTwist(0, 0) for _, v in report.failures)
+    assert inverse_identity_check(
+        model.form("c"), declared_lattice_from_data(unsorted_declared_data(cpp_index=1))
+    ).ok

@@ -14,6 +14,7 @@ from quadpic import (
     phi_ratio_summand,
     real_lattice,
 )
+from quadpic.twists import split_quadric_sum
 
 real = QuadraticForm.real
 twists = st.builds(TateTwist, st.integers(-50, 50), st.integers(-50, 50))
@@ -33,6 +34,15 @@ def test_twist_rendering_and_json():
     t = TateTwist(2, 5)
     assert t.render() == "(2)[5]"
     assert TateTwist.from_json(t.to_json()) == t
+
+
+def test_split_quadric_sum_matches_the_literal_sum():
+    for m in range(-1, 41):
+        for j in range(31):
+            literal = ZERO_TWIST
+            for l in range(j):
+                literal = literal + TateTwist(m - 2 * l, 2 * m - 4 * l + 1)
+            assert split_quadric_sum(m, j) == literal, (m, j)
 
 
 def fixture_lattice():
