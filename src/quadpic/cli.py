@@ -56,14 +56,29 @@ def _parse_form_list(text: str, declared) -> list[QuadraticForm]:
     return [_parse_form(p, declared) for p in parts]
 
 
-def _load_declared(args, check: bool = True):
-    """The declared lattice named by --model (with --decomps applied), or None."""
+def _read_model(path: str):
+    """The declared lattice in a model file, not yet validated."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return declared_lattice_from_data(parse_model(handle.read()), check=False)
+
+
+def _load_declared(args):
+    """The validated declared lattice named by --model (with --decomps applied), or None.
+
+    A model that fails validation is refused with a one-line message naming
+    the number of violations and the first of them.
+    """
     if args.model is None:
         if args.decomps is not None:
             raise ModelError("--decomps needs --model")
         return None
-    with open(args.model, "r", encoding="utf-8") as handle:
-        model = declared_lattice_from_data(parse_model(handle.read()), check=check)
+    model = _read_model(args.model)
+    violations = model.validate().violations
+    if violations:
+        count = f"{len(violations)} violation{'s' if len(violations) != 1 else ''}"
+        raise ModelError(
+            f"declared model rejected: {count}; first: {violations[0].render()}"
+        )
     if args.decomps is not None:
         with open(args.decomps, "r", encoding="utf-8") as handle:
             table = json.loads(handle.read())
@@ -280,8 +295,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.model is not None:
-        with open(args.model, "r", encoding="utf-8") as handle:
-            model = declared_lattice_from_data(parse_model(handle.read()), check=False)
+        model = _read_model(args.model)
     else:
         forms = _parse_form_list(args.forms, None) if args.forms else []
         model = real_lattice(forms, depth=args.lattice_depth)

@@ -125,6 +125,7 @@ class ExtensionLattice:
         if backend not in (REAL, DECLARED):
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
+        self._real = backend == REAL
         self._extensions: dict[str, Extension] = {}
         self._levels: dict[str, float] = {}
         self._witt: dict[tuple[str, str], int] = {}
@@ -136,6 +137,9 @@ class ExtensionLattice:
         self._ancestor_cache: dict[str, frozenset[str]] = {}
         # oracle groups, kept up to date by add_extension (see token_groups)
         self._groups: dict[object, list[str]] = {}
+        # smallest token per (parent, construction) and per (None, construction),
+        # kept up to date by add_extension (see _find_constructed)
+        self._constructed: dict[tuple[str | None, str], str] = {}
         # registries used by the decomposition layer (see decomp.py)
         self.decompositions: dict[str, object] = {}
         self.class_parents: dict = {}
@@ -171,6 +175,10 @@ class ExtensionLattice:
             self._groups.setdefault(level, []).append(ext.token)
         else:
             self._groups[ext.token] = [ext.token]
+        for index in ((None, ext.construction), (ext.parent, ext.construction)):
+            best = self._constructed.get(index)
+            if best is None or ext.token < best:
+                self._constructed[index] = ext.token
         self._extensions[ext.token] = ext
         return ext.token
 
@@ -250,21 +258,23 @@ class ExtensionLattice:
 
     def witt_index(self, q: QuadraticForm, extension) -> int:
         token = extension.token if isinstance(extension, Extension) else extension
-        self.extension(token)
-        if self.backend == REAL and not q.is_real:
-            raise ModelError(f"declared form {q.key} has no real signature")
-        if self.backend == DECLARED and q.is_real:
-            raise ModelError(f"real form {q.key} is not in the declared table")
         key = (q.key, token)
         cached = self._witt_cache.get(key)
-        if cached is not None:
+        # a hit stands only for a form of this backend's kind: a declared id
+        # may spell a real key, and the other kind must still be refused
+        if cached is not None and q.is_real == self._real:
             return cached
-        if self.backend == REAL:
+        self.extension(token)
+        if self._real and not q.is_real:
+            raise ModelError(f"declared form {q.key} has no real signature")
+        if not self._real and q.is_real:
+            raise ModelError(f"real form {q.key} is not in the declared table")
+        if self._real:
             w = _balanced(q.pos - q.neg, self._levels[token])
             result = (q.dim - abs(w)) // 2
         else:
             try:
-                result = self._witt[(q.key, token)]
+                result = self._witt[key]
             except KeyError:
                 raise ModelError(
                     f"no declared Witt index for form {q.key} at {token}"
@@ -340,13 +350,8 @@ class ExtensionLattice:
         return self.add_extension(Extension(child, parts[0], construction), level=level)
 
     def _find_constructed(self, parent: str | None, construction: str) -> str | None:
-        for tok in sorted(self._extensions):
-            ext = self._extensions[tok]
-            if ext.construction == construction and (
-                parent is None or ext.parent == parent
-            ):
-                return tok
-        return None
+        """Smallest token built by construction (over parent, unless None)."""
+        return self._constructed.get((parent, construction))
 
     def extend_by_grassmannian(self, extension, grass: Grassmannian) -> str:
         """Function field of G(Q, n), via the stably equivalent flag tower.
@@ -416,25 +421,33 @@ class ExtensionLattice:
     def validate(self) -> ValidationReport:
         """Check the four invariant families at every (form, extension)."""
         report = ValidationReport()
-        forms = [self._forms[k] for k in self.form_keys()]
+        keys = self.form_keys()
+        forms = [self._forms[k] for k in keys]
+        column = {k: i for i, k in enumerate(keys)}
         tokens = self.extension_tokens()
 
-        table: dict[tuple[str, str], int] = {}
+        # one row per token: its Witt indices in form-key order, evaluated at
+        # the first token of its oracle group and shared by the whole group
+        groups = {group[0]: group for group in self.token_groups()}
+        firsts = [tok for tok in tokens if tok in groups]
+        cells: dict[str, list[int]] = {tok: [] for tok in firsts}
         for q in forms:
-            for tok in tokens:
+            for tok in firsts:
                 try:
-                    table[(q.key, tok)] = self.witt_index(q, tok)
+                    cells[tok].append(self.witt_index(q, tok))
                 except ModelError as exc:
-                    report.violations.append(
-                        Violation("table", q.key, tok, str(exc))
-                    )
+                    report.violations.append(Violation("table", q.key, tok, str(exc)))
         if not report.ok:
             return report
+        rows: dict[str, tuple[int, ...]] = {}
+        for first, group in groups.items():
+            row = tuple(cells[first])
+            rows.update((tok, row) for tok in group)
 
-        for q in forms:
+        for i, q in enumerate(forms):
             ceiling = q.dim // 2
             for tok in tokens:
-                value = table[(q.key, tok)]
+                value = rows[tok][i]
                 if value < 0 or value > ceiling:
                     report.violations.append(
                         Violation(
@@ -444,24 +457,27 @@ class ExtensionLattice:
                     )
 
         for tok in tokens:
-            below = self.ancestors(tok)
-            for anc in below:
-                for q in forms:
-                    lo, hi = table[(q.key, anc)], table[(q.key, tok)]
+            row = rows[tok]
+            for anc in sorted(self.ancestors(tok)):
+                below = rows[anc]
+                if below == row:
+                    continue
+                for key, lo, hi in zip(keys, below, row):
                     if lo > hi:
                         report.violations.append(
                             Violation(
-                                "monotonicity", q.key, tok,
+                                "monotonicity", key, tok,
                                 f"i_W drops from {lo} at {anc} to {hi}",
                             )
                         )
 
-        for q in forms:
+        for i, q in enumerate(forms):
             q_prime = self._registered_prime(q)
             if q_prime is None:
                 continue
+            j = column[q_prime.key]
             for tok in tokens:
-                low, high = table[(q.key, tok)], table[(q_prime.key, tok)]
+                low, high = rows[tok][i], rows[tok][j]
                 if not (low <= high <= low + 1):
                     report.violations.append(
                         Violation(
@@ -629,7 +645,8 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
             raise ModelError(f"parent graph has a cycle through {sorted(pending)}")
     if model._base is None:
         raise ModelError("declared model has no base extension")
-    for token in model.extension_tokens():
+    tokens = model.extension_tokens()
+    for token in tokens:
         construction = model.extension(token).construction
         if construction.startswith("join:"):
             for part in construction[len("join:"):].split("|"):
@@ -649,7 +666,7 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
         seen.add((fk, tok))
         model._witt[(fk, tok)] = value
     for fk in model.form_keys():
-        for tok in model.extension_tokens():
+        for tok in tokens:
             if (fk, tok) not in model._witt:
                 raise ModelError(f"witt table misses {fk} at {tok}")
 
@@ -677,8 +694,9 @@ def lattice_to_data(model: ExtensionLattice) -> dict:
         elif key in model._prime_links:
             entry["prime"] = model._prime_links[key]
         forms.append(entry)
+    tokens = model.extension_tokens()
     extensions = []
-    for token in model.extension_tokens():
+    for token in tokens:
         ext = model._extensions[token]
         entry = {"id": token, "construction": ext.construction}
         if ext.parent is not None:
@@ -687,7 +705,7 @@ def lattice_to_data(model: ExtensionLattice) -> dict:
     witt = [
         {"form": fk, "extension": tok, "index": model.witt_index(model.form(fk), tok)}
         for fk in model.form_keys()
-        for tok in model.extension_tokens()
+        for tok in tokens
     ]
     return {"forms": forms, "extensions": extensions, "witt": witt}
 

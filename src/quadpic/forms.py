@@ -12,29 +12,51 @@ prime(q) = <1> + (-q) a map with prime(prime(q)) = q + hyperbolic plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ModelError
 
 REAL = "real"
 DECLARED = "declared"
 
+# one shared instance per real signature handed out by QuadraticForm.real;
+# forms are immutable, so callers can share them, and the table holds one
+# entry per signature ever asked for
+_REAL_FORMS: dict[tuple[int, int], "QuadraticForm"] = {}
+
 
 @dataclass(frozen=True, order=True)
 class QuadraticForm:
-    """A nondegenerate quadratic form: real signature or declared token."""
+    """A nondegenerate quadratic form: real signature or declared token.
+
+    is_real, dim and key are computed once, when the instance is made, and
+    QuadraticForm.real returns one shared instance per signature.
+    """
 
     kind: str
     pos: int = 0
     neg: int = 0
     ident: str = ""
     declared_dim: int = 0
+    is_real: bool = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    # stable identifier: "(p,m)" for real forms, the token otherwise
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        real = self.kind == REAL
+        object.__setattr__(self, "is_real", real)
+        object.__setattr__(self, "dim", self.pos + self.neg if real else self.declared_dim)
+        object.__setattr__(self, "key", f"({self.pos},{self.neg})" if real else self.ident)
 
     @staticmethod
     def real(pos: int, neg: int) -> "QuadraticForm":
-        if pos < 0 or neg < 0 or pos + neg < 1:
-            raise ValueError(f"invalid signature ({pos},{neg})")
-        return QuadraticForm(REAL, pos=pos, neg=neg)
+        got = _REAL_FORMS.get((pos, neg))
+        if got is None:
+            if pos < 0 or neg < 0 or pos + neg < 1:
+                raise ValueError(f"invalid signature ({pos},{neg})")
+            got = _REAL_FORMS.setdefault((pos, neg), QuadraticForm(REAL, pos=pos, neg=neg))
+        return got
 
     @staticmethod
     def declared(ident: str, dim: int) -> "QuadraticForm":
@@ -43,19 +65,6 @@ class QuadraticForm:
         if dim < 1:
             raise ValueError(f"declared form {ident!r} needs dim >= 1")
         return QuadraticForm(DECLARED, ident=ident, declared_dim=dim)
-
-    @property
-    def is_real(self) -> bool:
-        return self.kind == REAL
-
-    @property
-    def dim(self) -> int:
-        return self.pos + self.neg if self.is_real else self.declared_dim
-
-    @property
-    def key(self) -> str:
-        """Stable identifier: "(p,m)" for real forms, the token otherwise."""
-        return f"({self.pos},{self.neg})" if self.is_real else self.ident
 
     def negated(self) -> "QuadraticForm":
         if not self.is_real:
@@ -134,29 +143,26 @@ class ProjectiveQuadric:
 
     {q = 0} and {-q = 0} are the same variety, so the identity of a real
     quadric is the sign-canonical signature (larger coordinate first).
-    Dimension-1 forms give the empty quadric (dim -1).
+    Dimension-1 forms give the empty quadric (dim -1).  dim, is_empty,
+    canonical_form and key are computed once, when the instance is made.
     """
 
     form: QuadraticForm
+    dim: int = field(init=False, repr=False, compare=False)
+    is_empty: bool = field(init=False, repr=False, compare=False)
+    canonical_form: QuadraticForm = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return self.form.dim - 2
-
-    @property
-    def is_empty(self) -> bool:
-        return self.dim < 0
-
-    @property
-    def canonical_form(self) -> QuadraticForm:
+    def __post_init__(self) -> None:
         q = self.form
         if q.is_real and q.neg > q.pos:
-            return q.negated()
-        return q
-
-    @property
-    def key(self) -> str:
-        return self.canonical_form.key
+            canonical = q.negated()
+        else:
+            canonical = q
+        object.__setattr__(self, "dim", q.dim - 2)
+        object.__setattr__(self, "is_empty", q.dim < 2)
+        object.__setattr__(self, "canonical_form", canonical)
+        object.__setattr__(self, "key", canonical.key)
 
     def __repr__(self) -> str:
         return f"Quadric[{self.key}]"

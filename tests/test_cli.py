@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import quadpic
 
 from quadpic import lattice_to_data, real_lattice, serialize_model
 from quadpic.cli import main
@@ -143,6 +149,60 @@ def test_validate_real_and_declared(tmp_path, capsys):
     # every other command refuses the broken model outright
     code, _, err = run(capsys, "--model", str(bad), "phi", "--form", "(3,0)")
     assert code == 2
+
+
+def test_rejected_model_is_one_stderr_line(tmp_path, capsys):
+    data = lattice_to_data(real_lattice([real(p, 6 - p) for p in range(7)], depth=2))
+    for entry in data["witt"]:
+        if entry["form"] == "(4,2)":
+            entry["index"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize_model(data), encoding="utf-8")
+    violations = main(["--model", str(bad), "validate"])
+    lines = capsys.readouterr().out.splitlines()
+    assert violations == 1 and len(lines) > 1
+
+    code, out, err = run(capsys, "--model", str(bad), "inverse-check", "--form", "(4,2)")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: declared model rejected: {len(lines)} violations; first: {lines[0]}\n"
+    )
+
+
+def _chain_model_dropping_at_the_top():
+    """k < L1 < L2 < L3, with both forms at i_W 2 until they drop to 0 at L3."""
+    tokens = [("k", None, "base"), ("L1", "k", "ff:a"), ("L2", "L1", "ff:b"),
+              ("L3", "L2", "ff:a")]
+    return {
+        "forms": [{"id": "a", "dim": 4}, {"id": "b", "dim": 4}],
+        "extensions": [
+            {"id": tok, "construction": c, **({"parent": parent} if parent else {})}
+            for tok, parent, c in tokens
+        ],
+        "witt": [
+            {"form": f, "extension": tok, "index": 0 if tok == "L3" else 2}
+            for f in ("a", "b")
+            for tok, _, _ in tokens
+        ],
+    }
+
+
+def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_model(_chain_model_dropping_at_the_top()), encoding="utf-8")
+    src = str(Path(quadpic.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "quadpic", "--model", str(path), "validate"],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 1 and done.stderr == ""
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    first = next(iter(outputs)).splitlines()[0]
+    assert first == "[monotonicity] form a at L3: i_W drops from 2 at L1 to 0"
 
 
 def test_declared_model_commands(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpic import (
+    Extension,
+    ExtensionLattice,
     Grassmannian,
     ModelError,
     ProjectiveQuadric,
@@ -237,6 +239,68 @@ def test_checked_loading_rejects_invalid_tables():
         declared_lattice_from_data(data)
 
 
+def _reference_violations(model):
+    """validate() written out cell by cell, with ancestors in sorted order."""
+    forms = [model.form(k) for k in model.form_keys()]
+    tokens = model.extension_tokens()
+    table = {(q.key, t): model.witt_index(q, t) for q in forms for t in tokens}
+    out = []
+    for q in forms:
+        for t in tokens:
+            value = table[(q.key, t)]
+            if not 0 <= value <= q.dim // 2:
+                out.append(("ceiling", q.key, t, f"i_W = {value} outside [0, {q.dim // 2}]"))
+    for t in tokens:
+        for anc in sorted(model.ancestors(t)):
+            for q in forms:
+                lo, hi = table[(q.key, anc)], table[(q.key, t)]
+                if lo > hi:
+                    out.append(("monotonicity", q.key, t, f"i_W drops from {lo} at {anc} to {hi}"))
+    for q in forms:
+        p = model._registered_prime(q)
+        for t in tokens if p is not None else ():
+            low, high = table[(q.key, t)], table[(p.key, t)]
+            if not low <= high <= low + 1:
+                out.append(("codim-1-step", q.key, t,
+                            f"i_W({q.key}) = {low} vs i_W({p.key}) = {high}"))
+    return out
+
+
+def test_validate_matches_the_cell_by_cell_reference_on_corrupted_tables():
+    data = declared_fixture()
+    deeper = [e["id"] for e in data["extensions"] if e.get("parent") not in (None, "base")]
+    corruptions = [
+        [("(3,0)", deeper[0], 0)],
+        [("(1,3)", "base", 2)],
+        [("(2,1)", "base", 2)],
+        [("(3,0)", t, 0) for t in deeper] + [("(2,1)", "base", 2), ("(1,3)", "base", 2)],
+        [(e["form"], e["extension"], 0) for e in data["witt"] if e["extension"] == "base"]
+        + [("(2,2)", "base", 3)],
+    ]
+    for edits in corruptions:
+        bad = parse_model(serialize_model(data))
+        for form, ext, value in edits:
+            _set_index(bad, form, ext, value)
+        model = declared_lattice_from_data(bad, check=False)
+        got = [(v.family, v.form, v.extension, v.detail) for v in model.validate()]
+        assert got, edits
+        assert [v for v in got if v[0] != "self-isotropy"] == _reference_violations(model)
+
+
+def test_witt_memo_hit_still_refuses_the_other_backends_forms():
+    model = real_lattice([real(1, 1)], depth=1)
+    assert model.witt_index(real(1, 1), "base") == 1
+    with pytest.raises(ModelError):
+        model.witt_index(QuadraticForm.declared("(1,1)", 2), "base")
+
+    declared = declared_lattice_from_data(lattice_to_data(model))
+    assert declared.witt_index(declared.form("(1,1)"), "base") == 1
+    with pytest.raises(ModelError):
+        declared.witt_index(real(1, 1), "base")
+    with pytest.raises(ModelError):
+        declared.witt_index(declared.form("(1,1)"), "nowhere")
+
+
 # -------------------------------------------------------- ingestion errors
 
 
@@ -278,6 +342,23 @@ def test_declared_extensions_must_preexist():
     assert model.extension(token).construction == "ff:(3,0)"
     with pytest.raises(ModelError):
         model.extend_by_function_field(token, ProjectiveQuadric(q30))
+
+
+def test_declared_lookup_returns_the_smallest_matching_token():
+    model = ExtensionLattice("declared")
+    c1 = QuadraticForm.declared("c1", 3)
+    model.register_form(c1)
+    for token, parent, construction in [
+        ("k", None, "base"), ("m", "k", "ff:c2"), ("z", "k", "ff:c1"),
+        ("y", "m", "ff:c1"), ("b", "m", "ff:c1"), ("a", "k", "ff:c1"),
+    ]:
+        model.add_extension(Extension(token, parent, construction))
+    assert model.extend_by_function_field("k", ProjectiveQuadric(c1)) == "a"
+    assert model.extend_by_function_field("m", ProjectiveQuadric(c1)) == "b"
+    # no ff:c1 over z itself: the Grassmannian lookup falls back to any parent
+    assert model.extend_by_grassmannian("z", Grassmannian(ProjectiveQuadric(c1), 0)) == "a"
+    with pytest.raises(ModelError):
+        model.extend_by_function_field("z", ProjectiveQuadric(c1))
 
 
 def test_prime_tracks_the_declared_link():

@@ -93,6 +93,16 @@ def test_invalid_signatures_rejected():
         QuadraticForm.declared("", 3)
 
 
+def test_real_forms_are_interned():
+    assert QuadraticForm.real(3, 2) is QuadraticForm.real(3, 2)
+    assert prime(real(2, 3)) is real(4, 2)
+    assert real(2, 3).negated() is real(3, 2)
+    with pytest.raises(ValueError):
+        QuadraticForm.real(0, 0)
+    with pytest.raises(ValueError):
+        QuadraticForm.real(-1, 2)
+
+
 def test_quadric_dimension_and_empty_flag():
     assert ProjectiveQuadric(real(5, 0)).dim == 3
     assert ProjectiveQuadric(real(1, 0)).is_empty
