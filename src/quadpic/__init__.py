@@ -9,7 +9,6 @@ and the Grassmannian projector-tower read-off) cross-check each other.
 from .decomp import (
     ClassKey,
     Decomposition,
-    IndecomposableClass,
     Summand,
     canonical_class,
     declare_decomposition,
@@ -31,13 +30,9 @@ from .fields import (
     serialize_model,
 )
 from .forms import (
-    GWClass,
     Grassmannian,
-    HYPERBOLIC_PLANE,
     ProjectiveQuadric,
     QuadraticForm,
-    gw_normalize,
-    orthogonal_sum,
     pfister_real,
     prime,
     real_form_from_key,
@@ -54,7 +49,6 @@ from .pic import (
     basis_real,
     det,
     det_product,
-    fingerprint,
     generator_e,
     identity,
     independent,

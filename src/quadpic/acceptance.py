@@ -8,11 +8,12 @@ printing one pass/fail line per criterion.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 
 from .errors import DisagreementError, ModelError
-from .fields import declared_lattice_from_data, lattice_to_data, real_lattice
+from .fields import declared_lattice_from_data, lattice_to_data, parse_construction, real_lattice
 from .forms import ProjectiveQuadric, QuadraticForm, prime
 from .pic import (
     all_flags,
@@ -293,16 +294,10 @@ def criterion_8(max_quadric_dim: int = 8, depth: int = 3) -> CriterionResult:
     )
 
 
-def _sorted_witt(data: dict) -> list[dict]:
-    return sorted(data["witt"], key=lambda w: (w["form"], w["extension"]))
-
-
 def _mutate(data: dict, rng: random.Random, family: str) -> dict | None:
     """One declared-table mutation guaranteed to violate the given family."""
-    import copy
-
     d = copy.deepcopy(data)
-    witt = _sorted_witt(d)
+    witt = sorted(d["witt"], key=lambda w: (w["form"], w["extension"]))
     d["witt"] = witt
     index = {(w["form"], w["extension"]): w for w in witt}
     forms = {f["id"]: f for f in sorted(d["forms"], key=lambda f: f["id"])}
@@ -333,14 +328,15 @@ def _mutate(data: dict, rng: random.Random, family: str) -> dict | None:
         index[(f["prime"], e)]["index"] = index[(f["id"], e)]["index"] + 2
         return d
     if family == "self-isotropy":
-        ffs = [e for e in extensions if e["construction"].startswith("ff:")]
+        built = [(e["id"], parse_construction(e["construction"])) for e in extensions]
         candidates = [
-            e for e in ffs if forms.get(e["construction"][3:], {}).get("dim", 0) >= 2
+            (token, c.form) for token, c in built
+            if c.kind == "ff" and forms.get(c.form, {}).get("dim", 0) >= 2
         ]
         if not candidates:
             return None
-        e = rng.choice(candidates)
-        index[(e["construction"][3:], e["id"])]["index"] = 0
+        token, form = rng.choice(candidates)
+        index[(form, token)]["index"] = 0
         return d
     raise ValueError(family)
 
@@ -390,15 +386,3 @@ ALL_CRITERIA = (
     criterion_8,
     criterion_9,
 )
-
-
-def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        if fn is criterion_5:
-            results.append(fn(seed=seed))
-        elif fn is criterion_9:
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
-    return results

@@ -10,13 +10,14 @@ bit-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
-from .decomp import declare_decomposition, registered_decomposition
+from .decomp import DECOMPOSITION_SHAPE, declare_decomposition, registered_decomposition
 from .errors import DisagreementError, ModelError, QuadPicError
-from .fields import declared_lattice_from_data, parse_model, real_lattice
+from .fields import check_json, declared_lattice_from_data, parse_model, real_lattice
 from .forms import ProjectiveQuadric, QuadraticForm, real_form_from_key
 from .pic import (
     basis_real,
@@ -31,8 +32,6 @@ from .pic import (
 )
 from .tower import active_index, build_tower, twist_readoff
 from .twists import TateTwist, phi_affine
-
-DEFAULT_SEED = 20260810
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -82,8 +81,12 @@ def _load_declared(args):
     if args.decomps is not None:
         with open(args.decomps, "r", encoding="utf-8") as handle:
             table = json.loads(handle.read())
+        if not isinstance(table, dict):
+            raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
         for form_id in sorted(table):
-            declare_decomposition(model.form(form_id), table[form_id], model)
+            data = check_json(table[form_id], f"decomps[{json.dumps(form_id)}]",
+                              DECOMPOSITION_SHAPE)
+            declare_decomposition(model.form(form_id), data, model)
     return model
 
 
@@ -125,7 +128,7 @@ def _cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _element_payload(name: str, element, model) -> dict:
+def _element_payload(name: str, element) -> dict:
     return {
         "command": name,
         "element": element.to_json(),
@@ -138,7 +141,7 @@ def _cmd_e(args) -> int:
     q = _parse_form(args.form, declared)
     model = _lattice_for(args, declared, [q])
     element = generator_e(q, model)
-    _emit(args, _element_payload("e", element, model),
+    _emit(args, _element_payload("e", element),
           element.render() + "\n" + element.fingerprint().render())
     return EXIT_OK
 
@@ -151,7 +154,7 @@ def _cmd_det(args) -> int:
     if args.flag:
         flag = _parse_form_list(args.flag, declared)
     element = det(ProjectiveQuadric(q), model, flag=flag)
-    _emit(args, _element_payload("det", element, model),
+    _emit(args, _element_payload("det", element),
           element.render() + "\n" + element.fingerprint().render())
     return EXIT_OK
 
@@ -236,54 +239,49 @@ def _cmd_relations(args) -> int:
 
 _TATE_FACTOR = re.compile(r"T\s*\(\s*(-?\d+)\s*\)\s*\[\s*(-?\d+)\s*\]")
 
+# the Picard element of each kind of parsed factor, over a lattice
+_FACTOR_ELEMENTS = {
+    "det": lambda q, model: det(ProjectiveQuadric(q), model),
+    "e": generator_e,
+    "T": lambda twist, model: tate_element(model, twist),
+}
 
-def _parse_expression(text: str, model):
-    """Products of det(p,m), e(p,m) and T(x)[y] factors with integer powers."""
-    element = identity(model)
+
+def _parse_expression(text: str) -> list[tuple[str, object, int]]:
+    """(generator, real form or twist, power) for each det(p,m), e(p,m) or T(x)[y]
+    factor of a product, read left to right, so an error names the leftmost defect."""
+    factors = []
     for raw in text.split("*"):
         term = raw.strip()
         if not term:
             raise ModelError(f"empty factor in expression {text!r}")
-        power = 1
+        exponent = None
         if "^" in term:
             term, _, exponent = term.rpartition("^")
-            power = int(exponent)
-        term = term.strip()
+            term = term.strip()
         if term.startswith("det"):
-            q = _parse_form(term[3:].strip(), model)
-            factor = det(ProjectiveQuadric(q), model)
+            factor = ("det", real_form_from_key(term[3:].strip()))
         elif term.startswith("e"):
-            factor = generator_e(_parse_form(term[1:].strip(), model), model)
+            factor = ("e", real_form_from_key(term[1:].strip()))
         elif term.startswith("T"):
             match = _TATE_FACTOR.fullmatch(term)
             if match is None:
                 raise ModelError(f"cannot parse Tate factor {term!r}; expected T(x)[y]")
-            twist = TateTwist(int(match.group(1)), int(match.group(2)))
-            factor = tate_element(model, twist)
+            factor = ("T", TateTwist(int(match.group(1)), int(match.group(2))))
         else:
             raise ModelError(f"cannot parse factor {raw.strip()!r}")
-        element = element * factor**power
-    return element
-
-
-def _expression_forms(text: str) -> list[QuadraticForm]:
-    forms = []
-    for raw in text.split("*"):
-        term = raw.strip()
-        if "^" in term:
-            term = term.rpartition("^")[0].strip()
-        if term.startswith("det"):
-            forms.append(real_form_from_key(term[3:].strip()))
-        elif term.startswith("e"):
-            forms.append(real_form_from_key(term[1:].strip()))
-    return forms
+        factors.append((*factor, 1 if exponent is None else int(exponent)))
+    return factors
 
 
 def _cmd_basis(args) -> int:
     if args.model is not None:
         raise ModelError("the Pfister basis exists over the real backend")
-    model = _lattice_for(args, None, _expression_forms(args.expr))
-    element = _parse_expression(args.expr, model)
+    factors = _parse_expression(args.expr)
+    model = _lattice_for(args, None, [value for gen, value, _ in factors if gen != "T"])
+    element = identity(model)
+    for gen, value, power in factors:
+        element = element * _FACTOR_ELEMENTS[gen](value, model) ** power
     expansion = basis_real(element, args.maxr)
     payload = {"command": "basis", "expr": args.expr, "maxr": args.maxr,
                **expansion.to_json()}
@@ -318,15 +316,15 @@ def _depth(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quadpic",
         description="Exact computation in the Picard subgroup generated by "
         "reduced motives of affine quadrics.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized drivers (fixed default)")
     parser.add_argument("--lattice-depth", type=_depth, default=3,
                         help="generic-splitting tower depth for the real backend")
     parser.add_argument("--model", default=None,

@@ -31,7 +31,12 @@ from .forms import (
 from .twists import TateTwist
 
 ROST = "rost"
-DECLARED_KIND = "declared"
+
+# the JSON shape of a decomposition, as fields.check_json reads it
+_SUMMAND_SHAPE = (("class", (("quadric", str, True), ("planes", int, True)), True),
+                  ("shift", int, True), ("kind", str, True))
+DECOMPOSITION_SHAPE = (("tates", [(("x", int, True), ("y", int, True))], False),
+                       ("summands", [_SUMMAND_SHAPE], False))
 
 
 @dataclass(frozen=True, order=True)
@@ -54,16 +59,6 @@ class ClassKey:
     @staticmethod
     def from_json(data: dict) -> "ClassKey":
         return ClassKey(data["quadric"], int(data["planes"]))
-
-
-@dataclass(frozen=True)
-class IndecomposableClass:
-    """A stable-birational class, held by its canonical representative."""
-
-    key: ClassKey
-
-    def render(self) -> str:
-        return self.key.render()
 
 
 def _find(model, key: ClassKey) -> ClassKey:
@@ -89,8 +84,8 @@ def _grassmannian(model, key: ClassKey) -> Grassmannian:
     return Grassmannian(ProjectiveQuadric(model.form(key.quadric)), key.planes)
 
 
-def canonical_class(model, key: ClassKey) -> IndecomposableClass:
-    """Resolve a Grassmannian key to its canonical class in this model.
+def canonical_class(model, key: ClassKey) -> ClassKey:
+    """Resolve a Grassmannian key to the root key of its class in this model.
 
     New keys are compared against every existing root through the
     stable-birational oracle (smallest-key roots win the merge).
@@ -107,7 +102,13 @@ def canonical_class(model, key: ClassKey) -> IndecomposableClass:
             if model.stably_birational(mine, _grassmannian(model, root)):
                 _union(model, key, root)
                 break
-    return IndecomposableClass(_find(model, key))
+    return _find(model, key)
+
+
+def parse_rost_kind(kind: str) -> int | None:
+    """The degree r of a summand kind "rost:r"; None for any other kind."""
+    head, sep, degree = kind.partition(":")
+    return int(degree) if head == ROST and sep else None
 
 
 @dataclass(frozen=True, order=True)
@@ -120,9 +121,7 @@ class Summand:
 
     @property
     def rost_degree(self) -> int | None:
-        if self.kind.startswith(f"{ROST}:"):
-            return int(self.kind.split(":", 1)[1])
-        return None
+        return parse_rost_kind(self.kind)
 
     def to_json(self) -> dict:
         return {"class": self.cls.to_json(), "shift": self.shift, "kind": self.kind}
@@ -160,14 +159,9 @@ class Decomposition:
     def from_json(quadric: str, data: dict) -> "Decomposition":
         return Decomposition.make(
             quadric,
-            [TateTwist.from_json(t) for t in data.get("tates", [])],
-            [Summand.from_json(s) for s in data.get("summands", [])],
+            [TateTwist.from_json(t) for t in data.get("tates") or []],
+            [Summand.from_json(s) for s in data.get("summands") or []],
         )
-
-
-def _rost_class(model, r: int) -> IndecomposableClass:
-    key = ClassKey(ProjectiveQuadric(pfister_real(r)).key, 0)
-    return canonical_class(model, key)
 
 
 def _excellent_blocks(model, dim: int, shift: int) -> list[Summand]:
@@ -176,7 +170,7 @@ def _excellent_blocks(model, dim: int, shift: int) -> list[Summand]:
     while dim >= 2:
         r = (dim - 1).bit_length()
         first_witt = dim - (1 << (r - 1))
-        cls = _rost_class(model, r).key
+        cls = canonical_class(model, ClassKey(ProjectiveQuadric(pfister_real(r)).key, 0))
         for i in range(first_witt):
             out.append(Summand(cls, shift + i, f"{ROST}:{r}"))
         shift += first_witt
@@ -238,7 +232,7 @@ def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
     for s in dec.summands:
         if s.cls.quadric not in model.form_keys():
             raise ModelError(f"summand class over unknown quadric {s.cls.quadric!r}")
-        resolved.append(Summand(canonical_class(model, s.cls).key, s.shift, s.kind))
+        resolved.append(Summand(canonical_class(model, s.cls), s.shift, s.kind))
     result = Decomposition.make(quadric.key, dec.tates, resolved)
     _check_rank(result, q.dim)
     existing = model.decompositions.get(quadric.key)

@@ -63,6 +63,34 @@ class Extension:
     construction: str
 
 
+@dataclass(frozen=True)
+class Construction:
+    """A parsed construction string; kind is "" for an unrecognised one."""
+
+    kind: str
+    form: str = ""               # ff, gff: the form id
+    planes: int = 0              # gff: the plane level
+    parts: tuple[str, ...] = ()  # join: the constituent tokens
+
+
+def parse_construction(text: str) -> Construction:
+    """Parse any construction string; a non-integer gff plane count is a ModelError."""
+    kind, sep, body = text.partition(":")
+    if text == CONSTRUCTION_BASE:
+        return Construction(text)
+    if not sep or kind not in ("ff", "gff", "join"):
+        return Construction("")
+    if kind == "ff":
+        return Construction(kind, form=body)
+    if kind == "join":
+        return Construction(kind, parts=tuple(body.split("|")))
+    form, _, planes = body.rpartition(":")
+    try:
+        return Construction(kind, form, int(planes))
+    except ValueError:
+        raise ModelError(f"gff plane count {planes!r} is not an integer") from None
+
+
 def _balanced(value: int, level) -> int:
     """Representative of value mod 2*level in the interval (-level, level]."""
     if level == INFINITE_LEVEL:
@@ -138,7 +166,7 @@ class ExtensionLattice:
         # oracle groups, kept up to date by add_extension (see token_groups)
         self._groups: dict[object, list[str]] = {}
         # smallest token per (parent, construction) and per (None, construction),
-        # kept up to date by add_extension (see _find_constructed)
+        # kept up to date by add_extension
         self._constructed: dict[tuple[str | None, str], str] = {}
         # registries used by the decomposition layer (see decomp.py)
         self.decompositions: dict[str, object] = {}
@@ -241,11 +269,9 @@ class ExtensionLattice:
         if cached is not None:
             return cached
         ext = self.extension(token)
-        parents: set[str] = set()
+        parents = set(parse_construction(ext.construction).parts)
         if ext.parent is not None:
             parents.add(ext.parent)
-        if ext.construction.startswith("join:"):
-            parents.update(ext.construction[len("join:"):].split("|"))
         out: set[str] = set()
         for p in parents:
             out.add(p)
@@ -314,7 +340,7 @@ class ExtensionLattice:
             raise ModelError("cannot take the function field of the empty quadric")
         construction = f"ff:{quadric.key}"
         if self.backend == DECLARED:
-            found = self._find_constructed(token, construction)
+            found = self._constructed.get((token, construction))
             if found is None:
                 raise ModelError(
                     f"declared model has no extension {construction} over {token}"
@@ -339,7 +365,7 @@ class ExtensionLattice:
             self.extension(t)
         construction = "join:" + "|".join(parts)
         if self.backend == DECLARED:
-            found = self._find_constructed(None, construction)
+            found = self._constructed.get((None, construction))
             if found is None:
                 raise ModelError(f"declared model has no extension {construction}")
             return found
@@ -348,10 +374,6 @@ class ExtensionLattice:
             return child
         level = min(self._levels[t] for t in parts)
         return self.add_extension(Extension(child, parts[0], construction), level=level)
-
-    def _find_constructed(self, parent: str | None, construction: str) -> str | None:
-        """Smallest token built by construction (over parent, unless None)."""
-        return self._constructed.get((parent, construction))
 
     def extend_by_grassmannian(self, extension, grass: Grassmannian) -> str:
         """Function field of G(Q, n), via the stably equivalent flag tower.
@@ -366,9 +388,9 @@ class ExtensionLattice:
             construction = (
                 f"ff:{form.key}" if grass.planes == 0 else f"gff:{form.key}:{grass.planes}"
             )
-            found = self._find_constructed(token, construction)
+            found = self._constructed.get((token, construction))
             if found is None:
-                found = self._find_constructed(None, construction)
+                found = self._constructed.get((None, construction))
             if found is None:
                 raise ModelError(
                     f"declared model has no extension {construction} for {grass!r}"
@@ -487,11 +509,10 @@ class ExtensionLattice:
                     )
 
         for tok in tokens:
-            ext = self._extensions[tok]
-            payload = _construction_payload(ext.construction)
-            if payload is None:
+            construction = parse_construction(self._extensions[tok].construction)
+            if construction.kind not in ("ff", "gff"):
                 continue
-            form_key, planes = payload
+            form_key, planes = construction.form, construction.planes
             try:
                 form = self.form(form_key)
                 value = self.witt_index(form, tok)
@@ -517,15 +538,6 @@ class ExtensionLattice:
             return q_prime if q_prime.key in self._forms else None
         link = self._prime_links.get(q.key)
         return self._forms.get(link) if link is not None else None
-
-
-def _construction_payload(construction: str) -> tuple[str, int] | None:
-    if construction.startswith("ff:"):
-        return construction[3:], 0
-    if construction.startswith("gff:"):
-        body, _, n = construction[4:].rpartition(":")
-        return body, int(n)
-    return None
 
 
 # ------------------------------------------------------------ real builder
@@ -564,48 +576,53 @@ def real_lattice(forms=(), depth: int = 3, base_token: str = "base") -> Extensio
 # --------------------------------------------------------- declared models
 
 
-# (field, JSON type, required) for the entries of each model section
+# the JSON shape of each model section, as check_json reads it
 _SCHEMA = {
-    "forms": (("id", str, True), ("dim", int, True), ("prime", str, False)),
-    "extensions": (("id", str, True), ("construction", str, True), ("parent", str, False)),
-    "witt": (("form", str, True), ("extension", str, True), ("index", int, True)),
+    "forms": [(("id", str, True), ("dim", int, True), ("prime", str, False))],
+    "extensions": [(("id", str, True), ("construction", str, True), ("parent", str, False))],
+    "witt": [(("form", str, True), ("extension", str, True), ("index", int, True))],
 }
 
 _TYPE_NAMES = {str: "a string", int: "an integer"}
 
 
-def _section(data: dict, name: str) -> list:
-    """The entries of one model section, checked against _SCHEMA in one pass."""
-    items = data.get(name, [])
-    if not isinstance(items, list):
-        raise ModelError(f"{name} must be a list")
-    fields = _SCHEMA[name]
-    for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ModelError(f"{name}[{i}] must be an object")
-        for key, kind, required in fields:
-            value = item.get(key)
-            if value is None:
-                if required:
-                    raise ModelError(f"{name}[{i}].{key} missing")
-            elif not isinstance(value, kind) or isinstance(value, bool):
-                raise ModelError(f"{name}[{i}].{key} must be {_TYPE_NAMES[kind]}")
-    return items
+def check_json(value, path: str, shape):
+    """value, checked against shape; an error names the path of the offending value.
+
+    A shape is str, int, [shape] for a list, or a tuple of (key, shape,
+    required) triples for an object.  A null field counts as absent.
+    """
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ModelError(f"{path} must be a list")
+        for i, item in enumerate(value):
+            check_json(item, f"{path}[{i}]", shape[0])
+    elif isinstance(shape, tuple):
+        if not isinstance(value, dict):
+            raise ModelError(f"{path} must be an object")
+        for key, field_shape, required in shape:
+            if value.get(key) is not None:
+                check_json(value[key], f"{path}.{key}", field_shape)
+            elif required:
+                raise ModelError(f"{path}.{key} missing")
+    elif not isinstance(value, shape) or isinstance(value, bool):
+        raise ModelError(f"{path} must be {_TYPE_NAMES[shape]}")
+    return value
 
 
 def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLattice:
     """Build a declared lattice from parsed JSON data.
 
     Structural defects (entries missing a field or of the wrong JSON type,
-    bad ids, parent cycles, non-total table) are rejection errors; with
-    check=True the four Witt invariant families are also enforced, rejecting
-    on any violation.
+    bad ids or constructions, cycles through parents or join constituents,
+    non-total table) are rejection errors; with check=True the four Witt
+    invariant families are also enforced, rejecting on any violation.
     """
     if not isinstance(data, dict):
         raise ModelError(f"model must be a JSON object, not {type(data).__name__}")
-    forms = _section(data, "forms")
-    extensions = _section(data, "extensions")
-    witt = _section(data, "witt")
+    forms, extensions, witt = (
+        check_json(data.get(name, []), name, shape) for name, shape in _SCHEMA.items()
+    )
     model = ExtensionLattice(DECLARED)
 
     for item in forms:
@@ -629,6 +646,15 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
     pending = {item["id"]: item for item in extensions}
     if len(pending) != len(extensions):
         raise ModelError("duplicate extension ids")
+    parts: dict[str, tuple[str, ...]] = {}
+    for token, item in pending.items():
+        try:
+            parts[token] = parse_construction(item["construction"]).parts
+        except ModelError as exc:
+            raise ModelError(f"extension {token!r}: {exc}") from None
+    # an extension is placed after its parent and its join constituents, so
+    # nothing on a cycle through either is ever placed; constituents that name
+    # no extension are reported below
     placed: set[str] = set()
     while pending:
         progressed = False
@@ -636,6 +662,8 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
             item = pending[token]
             parent = item.get("parent")
             if parent is not None and parent not in placed:
+                continue
+            if any(part in pending for part in parts[token]):
                 continue
             model.add_extension(Extension(token, parent, item["construction"]))
             placed.add(token)
@@ -647,11 +675,9 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
         raise ModelError("declared model has no base extension")
     tokens = model.extension_tokens()
     for token in tokens:
-        construction = model.extension(token).construction
-        if construction.startswith("join:"):
-            for part in construction[len("join:"):].split("|"):
-                if part not in model._extensions:
-                    raise ModelError(f"join {token!r} references unknown {part!r}")
+        for part in parts[token]:
+            if part not in model._extensions:
+                raise ModelError(f"join {token!r} references unknown {part!r}")
 
     seen: set[tuple[str, str]] = set()
     for item in witt:

@@ -87,24 +87,6 @@ def real_form_from_key(key: str) -> QuadraticForm:
     return QuadraticForm.real(p, m)
 
 
-def orthogonal_sum(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
-    """Orthogonal sum; real signatures add componentwise.
-
-    >>> orthogonal_sum(QuadraticForm.real(2, 1), QuadraticForm.real(1, 1))
-    QuadraticForm[(3,2)]
-
-    Declared forms would need a declared sum registered in the model, and
-    the declared model schema provides none, so any declared operand is an
-    error.
-    """
-    if a.is_real and b.is_real:
-        return QuadraticForm.real(a.pos + b.pos, a.neg + b.neg)
-    raise ModelError(
-        f"no declared orthogonal sum for {a.key} + {b.key}; "
-        "declared models carry no sum table"
-    )
-
-
 def prime(q: QuadraticForm) -> QuadraticForm:
     """q' = <1> + (-q); on real signatures (p, m) -> (m+1, p).
 
@@ -132,9 +114,6 @@ def pfister_real(r: int) -> QuadraticForm:
     if r < 1:
         raise ValueError(f"Pfister fold must be >= 1, got {r}")
     return QuadraticForm.real(2**r, 0)
-
-
-HYPERBOLIC_PLANE = QuadraticForm.real(1, 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -187,27 +166,3 @@ class Grassmannian:
 
     def __repr__(self) -> str:
         return f"G[{self.quadric.key},{self.planes}]"
-
-
-@dataclass(frozen=True)
-class GWClass:
-    """Witt-decomposed presentation q = anisotropic + rank * hyperbolic.
-
-    The rank may be negative for formal Grothendieck-Witt classes; the
-    normalizer below only produces nonnegative ranks.
-    """
-
-    anisotropic: QuadraticForm | None
-    hyperbolic_rank: int
-
-    @property
-    def anisotropic_dim(self) -> int:
-        return self.anisotropic.dim if self.anisotropic is not None else 0
-
-
-def gw_normalize(q: QuadraticForm, model, extension) -> GWClass:
-    """Witt decomposition of q over the given extension of the model."""
-    return GWClass(
-        anisotropic=model.anisotropic_part(q, extension),
-        hyperbolic_rank=model.witt_index(q, extension),
-    )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .decomp import (
     _find,
     class_vector,
+    parse_rost_kind,
     registered_decomposition,
     t_equivalent,
 )
@@ -233,11 +234,6 @@ def _sweep(groups, evaluate):
     """(group, value) for each oracle group; evaluate runs on one token per group."""
     for group in groups:
         yield group, evaluate(group[0])
-
-
-def fingerprint(x: PicElement) -> PhiFingerprint:
-    """Twist values of x at every extension of its lattice, base included."""
-    return x.fingerprint()
 
 
 # ---------------------------------------------------------------- builders
@@ -527,10 +523,6 @@ class RelationsVerdict:
     fingerprint_equal_mod_tate: bool
     tate_equivalent: bool
 
-    @property
-    def agree(self) -> bool:
-        return self.fingerprint_equal_mod_tate == self.tate_equivalent
-
     def to_json(self) -> dict:
         return {
             "fingerprint_equal_mod_tate": self.fingerprint_equal_mod_tate,
@@ -635,9 +627,10 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
         raise ModelError("missing decompositions for the basis expansion")
     degrees: dict[int, int] = {}
     for (cls, kind), n in vec.items():
-        if not kind.startswith("rost:"):
+        r = parse_rost_kind(kind)
+        if r is None:
             raise ModelError(f"non-Rost class {cls.render()} in a real element")
-        degrees[int(kind.split(":", 1)[1])] = n
+        degrees[r] = n
 
     coords: dict[int, int] = {}
     generators: dict[int, PicElement] = {}
@@ -649,9 +642,7 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
             )
         gen = generator_e(pfister_real(r), model)
         generators[r] = gen
-        gen_degrees = {
-            int(kind.split(":", 1)[1]): n for (cls, kind), n in gen.det_vector().items()
-        }
+        gen_degrees = {parse_rost_kind(kind): n for (_, kind), n in gen.det_vector().items()}
         lead = gen_degrees[r]
         if degrees[r] % lead != 0:
             raise DisagreementError(f"non-integral elimination at fold {r}")

@@ -23,10 +23,6 @@ class ProjectorTower:
     entries: tuple[Grassmannian, ...]
 
     @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
     def prime_quadric_dim(self) -> int:
         return self.form.dim - 1
 

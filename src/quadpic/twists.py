@@ -123,9 +123,6 @@ class PhiFingerprint:
     def tokens(self) -> list[str]:
         return sorted(self.entries)
 
-    def __getitem__(self, token: str) -> TateTwist:
-        return self.entries[token]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PhiFingerprint) and self.entries == other.entries
 

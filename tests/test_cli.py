@@ -320,5 +320,120 @@ def test_byte_identical_reruns(capsys):
     first = run(capsys, "--json", "decompose", "--form", "(6,2)")
     second = run(capsys, "--json", "decompose", "--form", "(6,2)")
     assert first == second
-    third = run(capsys, "--json", "--seed", "7", "decompose", "--form", "(6,2)")
-    assert third == first
+
+
+@pytest.mark.parametrize(
+    "expr, stdout",
+    [
+        ("e(0,3)^2 * det(4,0) * T(1)[2]", "r=2: -4\ntate: (13)[30]\n"),
+        ("det(4,0)^-1*e(2,1)^3", "r=2: 2\ntate: (-3)[-5]\n"),
+        ("T(-1)[-3]^2 * e(1,1) * det (8,0)", "r=3: -4\ntate: (27)[56]\n"),
+    ],
+)
+def test_basis_stdout_for_mixed_expressions(capsys, expr, stdout):
+    assert run(capsys, "basis", "--expr", expr, "--maxr", "3") == (0, stdout, "")
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("wat * e(x)", "cannot parse factor 'wat'"),
+        ("e(1,1)^x * e(y)", "invalid literal for int() with base 10: 'x'"),
+        ("e(x)^y", "not a real form literal: '(x)'"),
+    ],
+)
+def test_basis_expression_error_names_the_leftmost_defect(capsys, expr, message):
+    assert run(capsys, "basis", "--expr", expr, "--maxr", "3") == (2, "", f"error: {message}\n")
+
+
+def _model_with_extensions(extensions):
+    return {
+        "forms": [{"id": "a", "dim": 3}],
+        "extensions": [{"id": "k", "construction": "base"}] + extensions,
+        "witt": [
+            {"form": "a", "extension": e["id"], "index": 0}
+            for e in [{"id": "k"}] + extensions
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "extensions, message",
+    [
+        (
+            [{"id": "A", "parent": "k", "construction": "join:B"},
+             {"id": "B", "parent": "k", "construction": "join:A"}],
+            "parent graph has a cycle through ['A', 'B']",
+        ),
+        (
+            [{"id": "A", "parent": "k", "construction": "join:A|k"}],
+            "parent graph has a cycle through ['A']",
+        ),
+        (
+            [{"id": "g", "parent": "k", "construction": "gff:a:x"}],
+            "extension 'g': gff plane count 'x' is not an integer",
+        ),
+    ],
+    ids=["join-cycle", "self-join", "gff-plane-count"],
+)
+def test_bad_constructions_exit_two(tmp_path, capsys, extensions, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_model_with_extensions(extensions)), encoding="utf-8")
+    for argv in (["validate"], ["phi", "--form", "a"]):
+        code, out, err = run(capsys, "--model", str(path), *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_join_may_precede_its_constituents_in_the_file(tmp_path, capsys):
+    extensions = [{"id": "A", "parent": "k", "construction": "join:B|k"},
+                  {"id": "B", "parent": "k", "construction": "gff:a:0"}]
+    data = _model_with_extensions(extensions)
+    for entry in data["witt"]:
+        entry["index"] = 1 if entry["extension"] in ("A", "B") else 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "--model", str(path), "validate") == (0, "ok\n", "")
+
+
+_SUMMAND = {"class": {"quadric": "a", "planes": 0}, "shift": 0, "kind": "declared"}
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"a": {"summands": [{"shift": 0, "kind": "declared"}]}},
+         'decomps["a"].summands[0].class missing'),
+        ({"a": {"summands": [{**_SUMMAND, "class": {"planes": 0}}]}},
+         'decomps["a"].summands[0].class.quadric missing'),
+        ({"a": 5}, 'decomps["a"] must be an object'),
+        ({"a": {"tates": [{"x": 1}], "summands": [_SUMMAND]}},
+         'decomps["a"].tates[0].y missing'),
+        ([], "decomps must be a JSON object, not list"),
+        ({"a": {"summands": [{**_SUMMAND, "shift": "0"}]}},
+         'decomps["a"].summands[0].shift must be an integer'),
+    ],
+    ids=["no-class", "no-quadric", "not-an-object", "tate-without-y", "top-level-list",
+         "string-shift"],
+)
+def test_malformed_decomps_files_exit_two(tmp_path, capsys, table, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_with_extensions([])), encoding="utf-8")
+    decomps = tmp_path / "decomps.json"
+    decomps.write_text(json.dumps(table), encoding="utf-8")
+    code, out, err = run(capsys, "--model", str(model), "--decomps", str(decomps),
+                         "decompose", "--form", "a")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_seed_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "decompose", "--form", "(6,2)"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" not in err and "invalid choice: '7'" in err
+
+
+def test_parser_is_built_once():
+    from quadpic.cli import build_parser
+
+    assert build_parser() is build_parser()

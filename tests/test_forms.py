@@ -3,11 +3,8 @@ from hypothesis import given, strategies as st
 
 from quadpic import (
     Grassmannian,
-    ModelError,
     ProjectiveQuadric,
     QuadraticForm,
-    gw_normalize,
-    orthogonal_sum,
     pfister_real,
     prime,
     real_form_from_key,
@@ -30,20 +27,6 @@ def test_doctests():
 
     failed, _ = doctest.testmod(quadpic.forms)
     assert failed == 0
-
-
-def test_orthogonal_sum_componentwise():
-    assert orthogonal_sum(real(1, 0), real(0, 1)) == real(1, 1)
-    assert orthogonal_sum(real(2, 1), real(1, 1)) == real(3, 2)
-
-
-def test_orthogonal_sum_declared_has_no_sum():
-    q = QuadraticForm.declared("q", 3)
-    r = QuadraticForm.declared("r", 2)
-    with pytest.raises(ModelError):
-        orthogonal_sum(q, r)
-    with pytest.raises(ModelError):
-        orthogonal_sum(q, real(1, 0))
 
 
 def test_prime_examples():
@@ -123,24 +106,25 @@ def test_grassmannian_plane_range():
         Grassmannian(quadric, -1)
 
 
-def test_gw_normalize_examples():
+def test_witt_decomposition_examples():
     model = real_lattice([real(5, 0)], depth=1)
-    gw = gw_normalize(real(3, 2), model, model.base)
-    assert gw.hyperbolic_rank == 2 and gw.anisotropic == real(1, 0)
-    gw = gw_normalize(real(4, 4), model, model.base)
-    assert gw.hyperbolic_rank == 4 and gw.anisotropic is None
+    assert model.witt_index(real(3, 2), model.base) == 2
+    assert model.anisotropic_part(real(3, 2), model.base) == real(1, 0)
+    assert model.witt_index(real(4, 4), model.base) == 4
+    assert model.anisotropic_part(real(4, 4), model.base) is None
     own = model.extend_by_function_field(model.base, ProjectiveQuadric(real(5, 0)))
-    gw = gw_normalize(real(5, 0), model, own)
-    assert gw.hyperbolic_rank == 1 and gw.anisotropic_dim == 3
+    assert model.witt_index(real(5, 0), own) == 1
+    assert model.anisotropic_part(real(5, 0), own).dim == 3
 
 
 @given(signatures, st.integers(0, 2))
-def test_gw_normalize_idempotent(pm, hops):
+def test_witt_decomposition_is_idempotent(pm, hops):
+    # q = anisotropic kernel + i_W hyperbolic planes, and the kernel is anisotropic
     model = real_lattice([real(*pm)], depth=hops)
     token = model.extension_tokens()[-1]
-    gw = gw_normalize(real(*pm), model, token)
-    assert 2 * gw.hyperbolic_rank + gw.anisotropic_dim == real(*pm).dim
-    if gw.anisotropic is not None:
-        again = gw_normalize(gw.anisotropic, model, token)
-        assert again.hyperbolic_rank == 0
-        assert again.anisotropic == gw.anisotropic
+    kernel = model.anisotropic_part(real(*pm), token)
+    kernel_dim = kernel.dim if kernel is not None else 0
+    assert 2 * model.witt_index(real(*pm), token) + kernel_dim == real(*pm).dim
+    if kernel is not None:
+        assert model.witt_index(kernel, token) == 0
+        assert model.anisotropic_part(kernel, token) == kernel

@@ -84,7 +84,7 @@ def test_declared_forms_build_towers_through_the_prime_link():
     with pytest.raises(ModelError):
         build_tower(q)
     tower = build_tower(q, model)
-    assert tower.length == 3 and tower.prime_quadric_dim == 2
+    assert tower.prime_quadric_dim == 2
     # j = 1 and j' = 2 at the base, so the odd slot 3 is active
     assert active_index(tower, "base", model) == 3
     assert twist_readoff(3, 3, 2) == phi_affine(q, "base", model)
