@@ -19,8 +19,10 @@ from .decomp import (
 )
 from .errors import DisagreementError, ModelError, QuadPicError
 from .fields import (
+    DeclaredLattice,
     Extension,
     ExtensionLattice,
+    RealLattice,
     ValidationReport,
     Violation,
     declared_lattice_from_data,

@@ -1,23 +1,24 @@
 """Finite extension lattices with Witt-index, rational-point and
 stable-birational oracles.
 
-Two backends share one interface:
+ExtensionLattice holds the poset of extensions, the form registry, the point
+oracles and validate(); one subclass per backend supplies the Witt oracle
+and the derived extensions:
 
-* real level model -- every extension carries a *level* (a power of two, or
+* RealLattice -- every extension carries a *level* (a power of two, or
   infinity for the formally real base).  The Witt index of a signature
   (p, m) at level s is computed from the balanced representative of
   p - m mod 2s in (-s, s]: i_W = (p + m - |w|) / 2.  Extending by the
   function field of an anisotropic quadric of dimension d drops the level
   to min(s, 2^(r-1)) where 2^(r-1) < d <= 2^r; isotropic quadrics are
   rational, so their function fields are purely transcendental and keep
-  the level.  Joins take the minimum of the constituent levels.
+  the level.  Nodes are added append-only and Witt indices memoized.
 
-* declared model -- Witt indices come from an explicit table; extensions
+* DeclaredLattice -- Witt indices come from an explicit table; extensions
   must pre-exist.  Tables are checked by validate() against four invariant
   families (monotonicity, ceiling, codimension-1 step, self-isotropy).
 
-Oracles are pure given a frozen lattice; the real backend grows its node
-set append-only and memoizes Witt indices.  Concurrent oracle reads
+Oracles are pure given a frozen lattice.  Concurrent oracle reads
 (witt_index, phi_affine) of a lattice that nothing grows meanwhile give the
 serial answers; growing a lattice while others read it is not supported.
 
@@ -147,27 +148,16 @@ class ValidationReport:
 
 
 class ExtensionLattice:
-    """Finite poset of field extensions with a Witt-index oracle."""
+    """Finite poset of field extensions and its forms; a subclass supplies the oracle."""
 
-    def __init__(self, backend: str):
-        if backend not in (REAL, DECLARED):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
-        self._real = backend == REAL
+    backend: str  # REAL or DECLARED, set by each subclass
+
+    def __init__(self):
         self._extensions: dict[str, Extension] = {}
-        self._levels: dict[str, float] = {}
-        self._witt: dict[tuple[str, str], int] = {}
         self._forms: dict[str, QuadraticForm] = {}
-        self._prime_links: dict[str, str] = {}
         self._base: str | None = None
-        self._witt_cache: dict[tuple[str, str], int] = {}
         self._twist_cache: dict[tuple, object] = {}
         self._ancestor_cache: dict[str, frozenset[str]] = {}
-        # oracle groups, kept up to date by add_extension (see token_groups)
-        self._groups: dict[object, list[str]] = {}
-        # smallest token per (parent, construction) and per (None, construction),
-        # kept up to date by add_extension
-        self._constructed: dict[tuple[str | None, str], str] = {}
         # registries used by the decomposition layer (see decomp.py)
         self.decompositions: dict[str, object] = {}
         self.class_parents: dict = {}
@@ -181,6 +171,7 @@ class ExtensionLattice:
         return self._base
 
     def add_extension(self, ext: Extension, level=None) -> str:
+        """Add a node below existing ones; level is the node's level on the real backend."""
         if "|" in ext.token:
             raise ModelError(f"extension token {ext.token!r} may not contain '|'")
         existing = self._extensions.get(ext.token)
@@ -196,17 +187,10 @@ class ExtensionLattice:
             self._base = ext.token
         elif ext.parent is not None and ext.parent not in self._extensions:
             raise ModelError(f"unknown parent extension {ext.parent!r}")
-        if self.backend == REAL:
-            if level is None:
-                raise ModelError("real-backend extension needs a level")
-            self._levels[ext.token] = level
-            self._groups.setdefault(level, []).append(ext.token)
-        else:
-            self._groups[ext.token] = [ext.token]
-        for index in ((None, ext.construction), (ext.parent, ext.construction)):
-            best = self._constructed.get(index)
-            if best is None or ext.token < best:
-                self._constructed[index] = ext.token
+        for part in parse_construction(ext.construction).parts:
+            if part not in self._extensions:
+                raise ModelError(f"join {ext.token!r} references unknown {part!r}")
+        self._index_extension(ext, level)
         self._extensions[ext.token] = ext
         return ext.token
 
@@ -219,49 +203,14 @@ class ExtensionLattice:
     def extension_tokens(self) -> list[str]:
         return sorted(self._extensions)
 
-    def token_groups(self) -> list[list[str]]:
-        """Every token, grouped so that each oracle answer is constant on a group.
-
-        One group per level on the real backend, one token per group on the
-        declared backend.  Groups list their tokens in insertion order and
-        must not be modified.
-        """
-        return list(self._groups.values())
-
-    def level(self, token: str):
-        if self.backend != REAL:
-            raise ModelError("levels exist only in the real backend")
-        self.extension(token)
-        return self._levels[token]
-
-    def register_form(self, q: QuadraticForm, with_prime: bool = True) -> str:
-        if self.backend == REAL and not q.is_real:
-            raise ModelError(f"declared form {q.key} in a real lattice")
-        if self.backend == DECLARED and q.is_real:
-            raise ModelError(f"real form {q.key} in a declared lattice")
-        self._forms.setdefault(q.key, q)
-        if with_prime and q.is_real:
-            self._forms.setdefault(prime(q).key, prime(q))
-        return q.key
-
     def form(self, key: str) -> QuadraticForm:
         got = self._forms.get(key)
-        if got is None and self.backend == REAL:
-            return real_form_from_key(key)
         if got is None:
             raise ModelError(f"unknown form {key!r}")
         return got
 
     def form_keys(self) -> list[str]:
         return sorted(self._forms)
-
-    def prime_of(self, q: QuadraticForm) -> QuadraticForm:
-        if q.is_real:
-            return prime(q)
-        link = self._prime_links.get(q.key)
-        if link is None:
-            raise ModelError(f"declared form {q.key} has no prime link")
-        return self.form(link)
 
     def ancestors(self, token: str) -> frozenset[str]:
         """Strict ancestors: parents and join constituents, transitively."""
@@ -280,149 +229,9 @@ class ExtensionLattice:
         self._ancestor_cache[token] = result
         return result
 
-    # -------------------------------------------------------------- oracle
-
-    def witt_index(self, q: QuadraticForm, extension) -> int:
-        token = extension.token if isinstance(extension, Extension) else extension
-        key = (q.key, token)
-        cached = self._witt_cache.get(key)
-        # a hit stands only for a form of this backend's kind: a declared id
-        # may spell a real key, and the other kind must still be refused
-        if cached is not None and q.is_real == self._real:
-            return cached
-        self.extension(token)
-        if self._real and not q.is_real:
-            raise ModelError(f"declared form {q.key} has no real signature")
-        if not self._real and q.is_real:
-            raise ModelError(f"real form {q.key} is not in the declared table")
-        if self._real:
-            w = _balanced(q.pos - q.neg, self._levels[token])
-            result = (q.dim - abs(w)) // 2
-        else:
-            try:
-                result = self._witt[key]
-            except KeyError:
-                raise ModelError(
-                    f"no declared Witt index for form {q.key} at {token}"
-                ) from None
-        self._witt_cache[key] = result
-        return result
-
-    def anisotropic_part(self, q: QuadraticForm, extension) -> QuadraticForm | None:
-        """Anisotropic kernel of q over the extension (None for split forms)."""
-        token = extension.token if isinstance(extension, Extension) else extension
-        if self.backend == REAL:
-            if not q.is_real:
-                raise ModelError(f"declared form {q.key} has no real signature")
-            w = _balanced(q.pos - q.neg, self._levels[self.extension(token).token])
-            if w == 0:
-                return None
-            return QuadraticForm.real(w, 0) if w > 0 else QuadraticForm.real(0, -w)
-        hyperbolic = self.witt_index(q, token)
-        if hyperbolic == 0:
-            return q
-        remaining = q.dim - 2 * hyperbolic
-        if remaining == 0:
-            return None
-        return QuadraticForm.declared(f"{q.key}.anis@{token}", remaining)
-
-    # -------------------------------------------------- derived extensions
-
-    def extend_by_function_field(self, extension, quadric: ProjectiveQuadric) -> str:
-        """Extension by the function field of a quadric.
-
-        Real backend: creates (or reuses) the node; the level follows the
-        level rule above.  Declared backend: the node must pre-exist.
-        """
-        token = extension.token if isinstance(extension, Extension) else extension
-        self.extension(token)
-        if quadric.is_empty:
-            raise ModelError("cannot take the function field of the empty quadric")
-        construction = f"ff:{quadric.key}"
-        if self.backend == DECLARED:
-            found = self._constructed.get((token, construction))
-            if found is None:
-                raise ModelError(
-                    f"declared model has no extension {construction} over {token}"
-                )
-            return found
-        child = f"{token}/{quadric.key}"
-        if child in self._extensions:
-            return child
-        form = quadric.canonical_form
-        self.register_form(form, with_prime=False)
-        if self.witt_index(form, token) > 0:
-            level = self._levels[token]
-        else:
-            level = min(self._levels[token], _power_of_two_below(form.dim))
-        return self.add_extension(Extension(child, token, construction), level=level)
-
-    def extend_by_join(self, tokens) -> str:
-        parts = sorted(tokens)
-        if not parts:
-            raise ModelError("join of nothing")
-        for t in parts:
-            self.extension(t)
-        construction = "join:" + "|".join(parts)
-        if self.backend == DECLARED:
-            found = self._constructed.get((None, construction))
-            if found is None:
-                raise ModelError(f"declared model has no extension {construction}")
-            return found
-        child = "join(" + "*".join(parts) + ")"
-        if child in self._extensions:
-            return child
-        level = min(self._levels[t] for t in parts)
-        return self.add_extension(Extension(child, parts[0], construction), level=level)
-
-    def extend_by_grassmannian(self, extension, grass: Grassmannian) -> str:
-        """Function field of G(Q, n), via the stably equivalent flag tower.
-
-        G(Q, n) is stably birational to the flag variety F(Q, n), which is an
-        iterated quadric fibration; each non-rational fiber is the quadric of
-        the current anisotropic kernel.
-        """
-        token = extension.token if isinstance(extension, Extension) else extension
-        form = grass.quadric.canonical_form
-        if self.backend == DECLARED:
-            construction = (
-                f"ff:{form.key}" if grass.planes == 0 else f"gff:{form.key}:{grass.planes}"
-            )
-            found = self._constructed.get((token, construction))
-            if found is None:
-                found = self._constructed.get((None, construction))
-            if found is None:
-                raise ModelError(
-                    f"declared model has no extension {construction} for {grass!r}"
-                )
-            return found
-        cur = token
-        for t in range(grass.planes + 1):
-            if self.witt_index(form, cur) > t:
-                continue
-            kernel = self.anisotropic_part(form, cur)
-            cur = self.extend_by_function_field(cur, ProjectiveQuadric(kernel))
-        return cur
-
-    def ensure_splitting_tower(self, q: QuadraticForm) -> list[str]:
-        """Generic splitting tower of q from the base; returns its tokens.
-
-        Real backend only (declared lattices are frozen).
-        """
-        if self.backend != REAL:
-            raise ModelError("splitting towers can only be built in the real backend")
-        tower = [self.base]
-        cur = self.base
-        while True:
-            kernel = self.anisotropic_part(q, cur)
-            if kernel is None or kernel.dim < 2:
-                return tower
-            cur = self.extend_by_function_field(cur, ProjectiveQuadric(kernel))
-            tower.append(cur)
-
     # ------------------------------------------------------ point oracles
 
-    def has_rational_point(self, quadric: ProjectiveQuadric, n: int, extension) -> bool:
+    def has_rational_point(self, quadric: ProjectiveQuadric, n: int, extension: str) -> bool:
         """Point-existence oracle for the Grassmannian G(Q, n)."""
         if quadric.is_empty or n < 0 or 2 * n > quadric.dim:
             raise ModelError(
@@ -532,29 +341,226 @@ class ExtensionLattice:
                 )
         return report
 
+
+class RealLattice(ExtensionLattice):
+    """The real level model: nodes are made on demand, Witt indices memoized."""
+
+    backend = REAL
+
+    def __init__(self):
+        super().__init__()
+        self._levels: dict[str, float] = {}
+        self._groups: dict[float, list[str]] = {}  # tokens per level, in insertion order
+        self._witt_memo: dict[tuple[str, str], int] = {}
+
+    def _index_extension(self, ext: Extension, level) -> None:
+        if level is None:
+            raise ModelError("real-backend extension needs a level")
+        self._levels[ext.token] = level
+        self._groups.setdefault(level, []).append(ext.token)
+
+    def level(self, token: str):
+        self.extension(token)
+        return self._levels[token]
+
+    def token_groups(self) -> list[list[str]]:
+        """Every token, grouped so that each oracle answer is constant on a group.
+
+        One group per level, listing its tokens in insertion order; groups
+        must not be modified.
+        """
+        return list(self._groups.values())
+
+    def register_form(self, q: QuadraticForm, with_prime: bool = True) -> str:
+        if not q.is_real:
+            raise ModelError(f"declared form {q.key} in a real lattice")
+        self._forms.setdefault(q.key, q)
+        if with_prime:
+            self._forms.setdefault(prime(q).key, prime(q))
+        return q.key
+
+    def form(self, key: str) -> QuadraticForm:
+        got = self._forms.get(key)
+        return got if got is not None else real_form_from_key(key)
+
+    def prime_of(self, q: QuadraticForm) -> QuadraticForm:
+        if not q.is_real:
+            raise ModelError(f"declared form {q.key} has no prime link")
+        return prime(q)
+
     def _registered_prime(self, q: QuadraticForm) -> QuadraticForm | None:
+        q_prime = prime(q)
+        return q_prime if q_prime.key in self._forms else None
+
+    def witt_index(self, q: QuadraticForm, extension: str) -> int:
+        key = (q.key, extension)
+        cached = self._witt_memo.get(key)
+        # a declared id may spell a real key, and must still be refused
+        if cached is not None and q.is_real:
+            return cached
+        level = self.level(extension)
+        if not q.is_real:
+            raise ModelError(f"declared form {q.key} has no real signature")
+        result = (q.dim - abs(_balanced(q.pos - q.neg, level))) // 2
+        self._witt_memo[key] = result
+        return result
+
+    def anisotropic_part(self, q: QuadraticForm, extension: str) -> QuadraticForm | None:
+        """Anisotropic kernel of q over the extension (None for split forms)."""
+        if not q.is_real:
+            raise ModelError(f"declared form {q.key} has no real signature")
+        w = _balanced(q.pos - q.neg, self.level(extension))
+        if w == 0:
+            return None
+        return QuadraticForm.real(w, 0) if w > 0 else QuadraticForm.real(0, -w)
+
+    def extend_by_function_field(self, extension: str, quadric: ProjectiveQuadric) -> str:
+        """The node of a quadric's function field, made on first use by the level rule."""
+        level = self.level(extension)
+        if quadric.is_empty:
+            raise ModelError("cannot take the function field of the empty quadric")
+        child = f"{extension}/{quadric.key}"
+        if child in self._extensions:
+            return child
+        form = quadric.canonical_form
+        self.register_form(form, with_prime=False)
+        if self.witt_index(form, extension) == 0:
+            level = min(level, _power_of_two_below(form.dim))
+        return self.add_extension(Extension(child, extension, f"ff:{quadric.key}"), level)
+
+    def extend_by_grassmannian(self, extension: str, grass: Grassmannian) -> str:
+        """Function field of G(Q, n), via the stably equivalent flag tower.
+
+        G(Q, n) is stably birational to the flag variety F(Q, n), which is an
+        iterated quadric fibration; each non-rational fiber is the quadric of
+        the current anisotropic kernel.
+        """
+        form = grass.quadric.canonical_form
+        cur = extension
+        for t in range(grass.planes + 1):
+            if self.witt_index(form, cur) > t:
+                continue
+            kernel = self.anisotropic_part(form, cur)
+            cur = self.extend_by_function_field(cur, ProjectiveQuadric(kernel))
+        return cur
+
+    def ensure_splitting_tower(self, q: QuadraticForm) -> list[str]:
+        """Generic splitting tower of q from the base; returns its tokens."""
+        tower = [self.base]
+        cur = self.base
+        while True:
+            kernel = self.anisotropic_part(q, cur)
+            if kernel is None or kernel.dim < 2:
+                return tower
+            cur = self.extend_by_function_field(cur, ProjectiveQuadric(kernel))
+            tower.append(cur)
+
+
+class DeclaredLattice(ExtensionLattice):
+    """Witt indices from an explicit table; every extension must pre-exist."""
+
+    backend = DECLARED
+
+    def __init__(self):
+        super().__init__()
+        self._witt: dict[tuple[str, str], int] = {}
+        self._prime_links: dict[str, str] = {}
+        # smallest token per (parent, construction) and per (None, construction)
+        self._constructed: dict[tuple[str | None, str], str] = {}
+
+    def _index_extension(self, ext: Extension, level) -> None:
+        for index in ((None, ext.construction), (ext.parent, ext.construction)):
+            best = self._constructed.get(index)
+            if best is None or ext.token < best:
+                self._constructed[index] = ext.token
+
+    def token_groups(self) -> list[list[str]]:
+        """Every token in a group of its own, in insertion order."""
+        return [[token] for token in self._extensions]
+
+    def register_form(self, q: QuadraticForm) -> str:
         if q.is_real:
-            q_prime = prime(q)
-            return q_prime if q_prime.key in self._forms else None
+            raise ModelError(f"real form {q.key} in a declared lattice")
+        self._forms.setdefault(q.key, q)
+        return q.key
+
+    def prime_of(self, q: QuadraticForm) -> QuadraticForm:
+        if q.is_real:
+            return prime(q)
+        link = self._prime_links.get(q.key)
+        if link is None:
+            raise ModelError(f"declared form {q.key} has no prime link")
+        return self.form(link)
+
+    def _registered_prime(self, q: QuadraticForm) -> QuadraticForm | None:
         link = self._prime_links.get(q.key)
         return self._forms.get(link) if link is not None else None
+
+    def witt_index(self, q: QuadraticForm, extension: str) -> int:
+        value = self._witt.get((q.key, extension))
+        # a declared id may spell a real key, and the real form must be refused
+        if value is not None and not q.is_real:
+            return value
+        self.extension(extension)
+        if q.is_real:
+            raise ModelError(f"real form {q.key} is not in the declared table")
+        raise ModelError(f"no declared Witt index for form {q.key} at {extension}")
+
+    def anisotropic_part(self, q: QuadraticForm, extension: str) -> QuadraticForm | None:
+        """Anisotropic kernel of q over the extension (None for split forms)."""
+        hyperbolic = self.witt_index(q, extension)
+        if hyperbolic == 0:
+            return q
+        remaining = q.dim - 2 * hyperbolic
+        if remaining == 0:
+            return None
+        return QuadraticForm.declared(f"{q.key}.anis@{extension}", remaining)
+
+    def extend_by_function_field(self, extension: str, quadric: ProjectiveQuadric) -> str:
+        """The declared node of a quadric's function field over the extension."""
+        self.extension(extension)
+        if quadric.is_empty:
+            raise ModelError("cannot take the function field of the empty quadric")
+        construction = f"ff:{quadric.key}"
+        found = self._constructed.get((extension, construction))
+        if found is None:
+            raise ModelError(
+                f"declared model has no extension {construction} over {extension}"
+            )
+        return found
+
+    def extend_by_grassmannian(self, extension: str, grass: Grassmannian) -> str:
+        """The declared node of G(Q, n)'s function field: over the extension,
+        else the smallest over any parent."""
+        form = grass.quadric.canonical_form
+        construction = (
+            f"ff:{form.key}" if grass.planes == 0 else f"gff:{form.key}:{grass.planes}"
+        )
+        found = self._constructed.get((extension, construction))
+        if found is None:
+            found = self._constructed.get((None, construction))
+        if found is None:
+            raise ModelError(
+                f"declared model has no extension {construction} for {grass!r}"
+            )
+        return found
 
 
 # ------------------------------------------------------------ real builder
 
 
-def real_lattice(forms=(), depth: int = 3, base_token: str = "base") -> ExtensionLattice:
+def real_lattice(forms=(), depth: int = 3) -> RealLattice:
     """Joint generic-splitting lattice of the given real forms.
 
     Nodes are added breadth-first: below each existing node, one function
     field per distinct anisotropic kernel quadric of a registered form, up
     to the given tower depth.
     """
-    model = ExtensionLattice(REAL)
-    model.add_extension(Extension(base_token, None, CONSTRUCTION_BASE), level=INFINITE_LEVEL)
+    model = RealLattice()
+    model.add_extension(Extension("base", None, CONSTRUCTION_BASE), level=INFINITE_LEVEL)
     for q in forms:
         model.register_form(q)
-    frontier = [base_token]
+    frontier = [model.base]
     for _ in range(depth):
         next_frontier = []
         round_keys = model.form_keys()
@@ -610,7 +616,7 @@ def check_json(value, path: str, shape):
     return value
 
 
-def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLattice:
+def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattice:
     """Build a declared lattice from parsed JSON data.
 
     Structural defects (entries missing a field or of the wrong JSON type,
@@ -623,13 +629,13 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
     forms, extensions, witt = (
         check_json(data.get(name, []), name, shape) for name, shape in _SCHEMA.items()
     )
-    model = ExtensionLattice(DECLARED)
+    model = DeclaredLattice()
 
     for item in forms:
         q = QuadraticForm.declared(item["id"], item["dim"])
         if q.key in model._forms:
             raise ModelError(f"duplicate form id {q.key!r}")
-        model.register_form(q, with_prime=False)
+        model.register_form(q)
     for item in forms:
         link = item.get("prime")
         if link is None:
@@ -653,20 +659,16 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
         except ModelError as exc:
             raise ModelError(f"extension {token!r}: {exc}") from None
     # an extension is placed after its parent and its join constituents, so
-    # nothing on a cycle through either is ever placed; constituents that name
-    # no extension are reported below
-    placed: set[str] = set()
+    # nothing on a cycle through either is ever placed; add_extension refuses
+    # a reference that names no extension at all
     while pending:
         progressed = False
         for token in sorted(pending):
             item = pending[token]
             parent = item.get("parent")
-            if parent is not None and parent not in placed:
-                continue
-            if any(part in pending for part in parts[token]):
+            if parent in pending or any(part in pending for part in parts[token]):
                 continue
             model.add_extension(Extension(token, parent, item["construction"]))
-            placed.add(token)
             del pending[token]
             progressed = True
         if not progressed:
@@ -674,10 +676,6 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> ExtensionLatti
     if model._base is None:
         raise ModelError("declared model has no base extension")
     tokens = model.extension_tokens()
-    for token in tokens:
-        for part in parts[token]:
-            if part not in model._extensions:
-                raise ModelError(f"join {token!r} references unknown {part!r}")
 
     seen: set[tuple[str, str]] = set()
     for item in witt:
@@ -713,12 +711,9 @@ def lattice_to_data(model: ExtensionLattice) -> dict:
     for key in model.form_keys():
         q = model._forms[key]
         entry = {"id": key, "dim": q.dim}
-        if q.is_real:
-            p_key = prime(q).key
-            if p_key in model._forms:
-                entry["prime"] = p_key
-        elif key in model._prime_links:
-            entry["prime"] = model._prime_links[key]
+        q_prime = model._registered_prime(q)
+        if q_prime is not None:
+            entry["prime"] = q_prime.key
         forms.append(entry)
     tokens = model.extension_tokens()
     extensions = []

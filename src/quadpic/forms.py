@@ -96,7 +96,7 @@ def prime(q: QuadraticForm) -> QuadraticForm:
     QuadraticForm[(2,2)]
 
     Declared forms resolve their prime through the model's prime links
-    (ExtensionLattice.prime_of).
+    (DeclaredLattice.prime_of).
     """
     if not q.is_real:
         raise ModelError(

@@ -59,20 +59,19 @@ def split_quadric_sum(m: int, j: int) -> TateTwist:
     return TateTwist(j * m - pairs, j * (2 * m + 1) - 2 * pairs)
 
 
-def phi_affine(q: QuadraticForm, extension, model) -> TateTwist:
+def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
     """Twist value of the generator e^q at an extension.
 
     With P, P' the quadrics of q and q' and j_P, j_P' their Witt indices,
     the value is the difference of the two split sums over P' and P.
     """
-    token = extension if isinstance(extension, str) else extension.token
     cache = model._twist_cache
-    key = ("affine", q.key, token)
+    key = ("affine", q.key, extension)
     value = cache.get(key)
     if value is None:
         q_prime = model.prime_of(q)
-        j_p = model.witt_index(q, token)
-        j_pp = model.witt_index(q_prime, token)
+        j_p = model.witt_index(q, extension)
+        j_pp = model.witt_index(q_prime, extension)
         value = split_quadric_sum(q_prime.dim - 2, j_pp) - split_quadric_sum(
             q.dim - 2, j_p
         )
@@ -80,16 +79,15 @@ def phi_affine(q: QuadraticForm, extension, model) -> TateTwist:
     return value
 
 
-def phi_det(quadric: ProjectiveQuadric, extension, model) -> TateTwist:
+def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
     """Twist value of det(Q) at an extension: the split sum at i_W(Q_E)."""
     if quadric.is_empty:
         return ZERO_TWIST
-    token = extension if isinstance(extension, str) else extension.token
     cache = model._twist_cache
-    key = ("det", quadric.key, token)
+    key = ("det", quadric.key, extension)
     value = cache.get(key)
     if value is None:
-        j = model.witt_index(quadric.canonical_form, token)
+        j = model.witt_index(quadric.canonical_form, extension)
         value = split_quadric_sum(quadric.dim, j)
         cache[key] = value
     return value

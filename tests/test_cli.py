@@ -373,8 +373,12 @@ def _model_with_extensions(extensions):
             [{"id": "g", "parent": "k", "construction": "gff:a:x"}],
             "extension 'g': gff plane count 'x' is not an integer",
         ),
+        (
+            [{"id": "x", "parent": "zz", "construction": "ff:a"}],
+            "unknown parent extension 'zz'",
+        ),
     ],
-    ids=["join-cycle", "self-join", "gff-plane-count"],
+    ids=["join-cycle", "self-join", "gff-plane-count", "unknown-parent"],
 )
 def test_bad_constructions_exit_two(tmp_path, capsys, extensions, message):
     path = tmp_path / "model.json"

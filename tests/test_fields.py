@@ -1,11 +1,12 @@
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpic import (
+    DeclaredLattice,
     Extension,
-    ExtensionLattice,
     Grassmannian,
     ModelError,
     ProjectiveQuadric,
@@ -17,6 +18,7 @@ from quadpic import (
     real_lattice,
     serialize_model,
 )
+from quadpic.acceptance import real_forms
 
 real = QuadraticForm.real
 signatures = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
@@ -72,15 +74,6 @@ def test_empty_quadric_has_no_function_field():
     model = real_lattice([], depth=0)
     with pytest.raises(ModelError):
         model.extend_by_function_field(model.base, quadric(1, 0))
-
-
-def test_join_takes_minimum_level():
-    model = real_lattice([], depth=0)
-    a = model.extend_by_function_field(model.base, quadric(5, 0))
-    b = model.extend_by_function_field(model.base, quadric(3, 0))
-    joined = model.extend_by_join([a, b])
-    assert model.level(joined) == 2
-    assert set(model.ancestors(joined)) >= {a, b}
 
 
 def test_unknown_extension_is_an_error():
@@ -288,17 +281,41 @@ def test_validate_matches_the_cell_by_cell_reference_on_corrupted_tables():
 
 
 def test_witt_memo_hit_still_refuses_the_other_backends_forms():
+    # a declared id may spell a real key: a warm memo or table must not let
+    # the other kind of form through
     model = real_lattice([real(1, 1)], depth=1)
+    spelled = QuadraticForm.declared("(1,1)", 2)
     assert model.witt_index(real(1, 1), "base") == 1
-    with pytest.raises(ModelError):
-        model.witt_index(QuadraticForm.declared("(1,1)", 2), "base")
+    with pytest.raises(ModelError, match="declared form \\(1,1\\) has no real signature"):
+        model.witt_index(spelled, "base")
+    with pytest.raises(ModelError, match="declared form \\(1,1\\) has no real signature"):
+        model.anisotropic_part(spelled, "base")
+    with pytest.raises(ModelError, match="declared form \\(1,1\\) in a real lattice"):
+        model.register_form(spelled)
+    assert model.form("(1,1)").is_real
 
     declared = declared_lattice_from_data(lattice_to_data(model))
     assert declared.witt_index(declared.form("(1,1)"), "base") == 1
-    with pytest.raises(ModelError):
+    assert declared.anisotropic_part(declared.form("(1,1)"), "base") is None
+    with pytest.raises(ModelError, match="real form \\(1,1\\) is not in the declared table"):
         declared.witt_index(real(1, 1), "base")
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="real form \\(1,1\\) is not in the declared table"):
+        declared.anisotropic_part(real(1, 1), "base")
+    with pytest.raises(ModelError, match="real form \\(1,1\\) in a declared lattice"):
+        declared.register_form(real(1, 1))
+    with pytest.raises(ModelError, match="unknown extension 'nowhere'"):
         declared.witt_index(declared.form("(1,1)"), "nowhere")
+    assert not declared.form("(1,1)").is_real
+
+
+@pytest.mark.parametrize("n, digest", [
+    (8, "611f7ce3874502281eb0d04c65413c70501bff4a2e0593eedf67a9a1f6f95a08"),
+    (10, "3fef7d9cfa85a67b34ed7b1dc92a85deff1874da5582c359b68fe27eafbef2c5"),
+])
+def test_real_lattice_snapshot_is_unchanged(n, digest):
+    # a changed digest means the real backend's nodes, forms or Witt table changed
+    text = serialize_model(lattice_to_data(real_lattice(real_forms(n), depth=3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -------------------------------------------------------- ingestion errors
@@ -345,7 +362,7 @@ def test_declared_extensions_must_preexist():
 
 
 def test_declared_lookup_returns_the_smallest_matching_token():
-    model = ExtensionLattice("declared")
+    model = DeclaredLattice()
     c1 = QuadraticForm.declared("c1", 3)
     model.register_form(c1)
     for token, parent, construction in [
@@ -359,6 +376,30 @@ def test_declared_lookup_returns_the_smallest_matching_token():
     assert model.extend_by_grassmannian("z", Grassmannian(ProjectiveQuadric(c1), 0)) == "a"
     with pytest.raises(ModelError):
         model.extend_by_function_field("z", ProjectiveQuadric(c1))
+
+
+def test_declared_join_is_below_its_constituents():
+    model = DeclaredLattice()
+    for token, parent, construction in [
+        ("k", None, "base"), ("a", "k", "ff:c1"), ("b", "k", "ff:c2"),
+        ("j", "a", "join:a|b"),
+    ]:
+        model.add_extension(Extension(token, parent, construction))
+    assert model.ancestors("j") == {"k", "a", "b"}
+
+
+def test_add_extension_refuses_unknown_join_constituents():
+    model = DeclaredLattice()
+    model.add_extension(Extension("k", None, "base"))
+    with pytest.raises(ModelError, match="join 'A' references unknown 'A'"):
+        model.add_extension(Extension("A", "k", "join:A|k"))
+    with pytest.raises(ModelError, match="join 'B' references unknown 'zz'"):
+        model.add_extension(Extension("B", "k", "join:k|zz"))
+    with pytest.raises(ModelError, match="unknown parent extension 'zz'"):
+        model.add_extension(Extension("C", "zz", "ff:c1"))
+    assert model.extension_tokens() == ["k"]
+    with pytest.raises(ModelError, match="unknown extension 'A'"):
+        model.ancestors("A")
 
 
 def test_prime_tracks_the_declared_link():
