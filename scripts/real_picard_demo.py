@@ -6,7 +6,14 @@ the pure parts of the definite Pfister forms, and the basis expansion of a
 few determinants.
 """
 
-from quadpic import (
+import os
+import sys
+
+# run from a checkout: the engine source sits in <repo>/src
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from quadpic import (  # noqa: E402
     ProjectiveQuadric,
     QuadraticForm,
     basis_real,

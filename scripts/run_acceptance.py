@@ -6,10 +6,15 @@ Exit code 0 iff every criterion passes.
 """
 
 import argparse
+import os
 import sys
 import time
 
-from quadpic import acceptance
+# run from a checkout: the engine source sits in <repo>/src
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from quadpic import acceptance  # noqa: E402
 
 
 def main() -> int:

@@ -24,7 +24,8 @@ serial answers; growing a lattice while others read it is not supported.
 
 Every oracle answer at an extension depends only on its oracle group (see
 token_groups): the level on the real backend, the token itself on the
-declared backend.  Lattice-wide sweeps evaluate once per group.
+declared backend.  Lattice-wide sweeps evaluate once per group, and
+real_lattice works out each round's children once per level.
 """
 
 from __future__ import annotations
@@ -179,15 +180,22 @@ class ExtensionLattice:
             if existing != ext:
                 raise ModelError(f"extension token {ext.token!r} redeclared differently")
             return ext.token
+        parts = parse_construction(ext.construction).parts
         if ext.construction == CONSTRUCTION_BASE:
             if self._base is not None:
                 raise ModelError("lattice already has a base extension")
             if ext.parent is not None:
                 raise ModelError("base extension cannot have a parent")
             self._base = ext.token
-        elif ext.parent is not None and ext.parent not in self._extensions:
-            raise ModelError(f"unknown parent extension {ext.parent!r}")
-        for part in parse_construction(ext.construction).parts:
+        elif ext.parent is not None:
+            if ext.parent not in self._extensions:
+                raise ModelError(f"unknown parent extension {ext.parent!r}")
+        elif not parts:
+            # nothing would lie below it, so validate could not compare it with the base
+            raise ModelError(
+                f"extension {ext.token!r} has neither a parent nor join constituents"
+            )
+        for part in parts:
             if part not in self._extensions:
                 raise ModelError(f"join {ext.token!r} references unknown {part!r}")
         self._index_extension(ext, level)
@@ -274,9 +282,14 @@ class ExtensionLattice:
         for first, group in groups.items():
             row = tuple(cells[first])
             rows.update((tok, row) for tok in group)
+        distinct = {rows[first] for first in groups}
 
+        # ceiling and codim-1 step read one row per cell: check each distinct
+        # row once, and walk the tokens only for a form that fails in one
         for i, q in enumerate(forms):
             ceiling = q.dim // 2
+            if all(0 <= row[i] <= ceiling for row in distinct):
+                continue
             for tok in tokens:
                 value = rows[tok][i]
                 if value < 0 or value > ceiling:
@@ -307,6 +320,8 @@ class ExtensionLattice:
             if q_prime is None:
                 continue
             j = column[q_prime.key]
+            if all(row[i] <= row[j] <= row[i] + 1 for row in distinct):
+                continue
             for tok in tokens:
                 low, high = rows[tok][i], rows[tok][j]
                 if not (low <= high <= low + 1):
@@ -554,7 +569,9 @@ def real_lattice(forms=(), depth: int = 3) -> RealLattice:
 
     Nodes are added breadth-first: below each existing node, one function
     field per distinct anisotropic kernel quadric of a registered form, up
-    to the given tower depth.
+    to the given tower depth.  A node's children depend only on its level,
+    so each round works them out at the first node of each level and gives
+    the other nodes of that level the same children.
     """
     model = RealLattice()
     model.add_extension(Extension("base", None, CONSTRUCTION_BASE), level=INFINITE_LEVEL)
@@ -564,17 +581,28 @@ def real_lattice(forms=(), depth: int = 3) -> RealLattice:
     for _ in range(depth):
         next_frontier = []
         round_keys = model.form_keys()
+        # level -> (quadric key, child level) per distinct kernel, in key order
+        children: dict[float, list[tuple[str, float]]] = {}
         for token in frontier:
+            level = model.level(token)
+            known = children.get(level)
+            if known is not None:
+                for key, child_level in known:
+                    next_frontier.append(model.add_extension(
+                        Extension(f"{token}/{key}", token, f"ff:{key}"), child_level
+                    ))
+                continue
+            known = children[level] = []
             for key in round_keys:
                 kernel = model.anisotropic_part(model.form(key), token)
                 if kernel is None or kernel.dim < 2:
                     continue
                 quadric = ProjectiveQuadric(kernel)
-                child = f"{token}/{quadric.key}"
-                fresh = child not in model._extensions
+                if f"{token}/{quadric.key}" in model._extensions:  # a shared kernel
+                    continue
                 child = model.extend_by_function_field(token, quadric)
-                if fresh:
-                    next_frontier.append(child)
+                known.append((quadric.key, model.level(child)))
+                next_frontier.append(child)
         frontier = next_frontier
     return model
 
@@ -598,22 +626,41 @@ def check_json(value, path: str, shape):
     A shape is str, int, [shape] for a list, or a tuple of (key, shape,
     required) triples for an object.  A null field counts as absent.
     """
+    problem = _misfit(value, shape)
+    if problem is not None:
+        suffix, complaint = problem
+        raise ModelError(f"{path}{suffix} {complaint}")
+    return value
+
+
+def _misfit(value, shape) -> tuple[str, str] | None:
+    """(path suffix, complaint) for the first value that does not fit shape, or None."""
     if isinstance(shape, list):
         if not isinstance(value, list):
-            raise ModelError(f"{path} must be a list")
+            return "", "must be a list"
         for i, item in enumerate(value):
-            check_json(item, f"{path}[{i}]", shape[0])
+            problem = _misfit(item, shape[0])
+            if problem is not None:
+                return f"[{i}]{problem[0]}", problem[1]
     elif isinstance(shape, tuple):
         if not isinstance(value, dict):
-            raise ModelError(f"{path} must be an object")
+            return "", "must be an object"
         for key, field_shape, required in shape:
-            if value.get(key) is not None:
-                check_json(value[key], f"{path}.{key}", field_shape)
-            elif required:
-                raise ModelError(f"{path}.{key} missing")
+            item = value.get(key)
+            if item is None:
+                if required:
+                    return f".{key}", "missing"
+            elif field_shape is str or field_shape is int:
+                # a leaf, checked here to spare a call per field
+                if not isinstance(item, field_shape) or isinstance(item, bool):
+                    return f".{key}", f"must be {_TYPE_NAMES[field_shape]}"
+            else:
+                problem = _misfit(item, field_shape)
+                if problem is not None:
+                    return f".{key}{problem[0]}", problem[1]
     elif not isinstance(value, shape) or isinstance(value, bool):
-        raise ModelError(f"{path} must be {_TYPE_NAMES[shape]}")
-    return value
+        return "", f"must be {_TYPE_NAMES[shape]}"
+    return None
 
 
 def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattice:

@@ -377,8 +377,12 @@ def _model_with_extensions(extensions):
             [{"id": "x", "parent": "zz", "construction": "ff:a"}],
             "unknown parent extension 'zz'",
         ),
+        (
+            [{"id": "x", "construction": "ff:a"}],
+            "extension 'x' has neither a parent nor join constituents",
+        ),
     ],
-    ids=["join-cycle", "self-join", "gff-plane-count", "unknown-parent"],
+    ids=["join-cycle", "self-join", "gff-plane-count", "unknown-parent", "parentless"],
 )
 def test_bad_constructions_exit_two(tmp_path, capsys, extensions, message):
     path = tmp_path / "model.json"

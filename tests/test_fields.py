@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from quadpic import (
     serialize_model,
 )
 from quadpic.acceptance import real_forms
+from quadpic.decomp import DECOMPOSITION_SHAPE
+from quadpic.fields import _SCHEMA, check_json
 
 real = QuadraticForm.real
 signatures = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
@@ -308,14 +312,46 @@ def test_witt_memo_hit_still_refuses_the_other_backends_forms():
     assert not declared.form("(1,1)").is_real
 
 
-@pytest.mark.parametrize("n, digest", [
-    (8, "611f7ce3874502281eb0d04c65413c70501bff4a2e0593eedf67a9a1f6f95a08"),
-    (10, "3fef7d9cfa85a67b34ed7b1dc92a85deff1874da5582c359b68fe27eafbef2c5"),
-])
-def test_real_lattice_snapshot_is_unchanged(n, digest):
-    # a changed digest means the real backend's nodes, forms or Witt table changed
-    text = serialize_model(lattice_to_data(real_lattice(real_forms(n), depth=3)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+def _digest(value) -> str:
+    return hashlib.sha256(value.encode()).hexdigest()
+
+
+SNAPSHOTS = [
+    (8, 3, "611f7ce3874502281eb0d04c65413c70501bff4a2e0593eedf67a9a1f6f95a08",
+     "87a09adced5c88e6ece1b27d8ef9398c50f9fa963f248df4ffee9793b157f5a4"),
+    (10, 3, "3fef7d9cfa85a67b34ed7b1dc92a85deff1874da5582c359b68fe27eafbef2c5",
+     "5d7414a3f6ac32def7df73e8a2309d6cce02fce9799240d49751c010702953f7"),
+    (16, 4, "3682b67e07a31824142524af845a050cf8f5bdf2d977b7503d93b4aaff57dc93",
+     "f8c73be8344b1248feefde94bba5a82dff596a0112db8d0e20c3ad023d464ab8"),
+]
+
+
+@pytest.mark.parametrize("n, depth, snapshot, groups", SNAPSHOTS,
+                         ids=[f"{n}-{snapshot}" for n, _, snapshot, _ in SNAPSHOTS])
+def test_real_lattice_snapshot_is_unchanged(n, depth, snapshot, groups):
+    # a changed snapshot means the real backend's nodes, forms or Witt table
+    # changed; a changed grouping moves the token a sweep evaluates per group
+    model = real_lattice(real_forms(n), depth=depth)
+    assert _digest(serialize_model(lattice_to_data(model))) == snapshot
+    assert _digest(json.dumps(model.token_groups())) == groups
+
+
+def test_scaled_real_lattice_is_unchanged():
+    # 5148 extensions: the full snapshot has 3M Witt cells and takes about
+    # 25 s to write, so compare what fixes it instead -- the forms and every
+    # node with its level, since a real Witt index reads only the level
+    model = real_lattice(real_forms(32), depth=4)
+    nodes = [
+        [tok, model.extension(tok).parent, model.extension(tok).construction, model.level(tok)]
+        for tok in model.extension_tokens()
+    ]
+    assert len(nodes) == 5148
+    assert _digest(json.dumps([model.form_keys(), nodes])) == (
+        "f619654ea4cd2167618278bce3a977cdfc76be492859f2af514996d13307aea9"
+    )
+    assert _digest(json.dumps(model.token_groups())) == (
+        "1bce84bacc819d58278383b30d66abd6446c6a60fad803be18b4578cb5d3f44b"
+    )
 
 
 # -------------------------------------------------------- ingestion errors
@@ -350,6 +386,88 @@ def test_ingestion_rejects_structural_defects():
             f["prime"] = "(3,0)"
     with pytest.raises(ModelError):
         declared_lattice_from_data(bad)
+
+
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
+def _reference_check_json(value, path, shape):
+    """The recursive checker that builds every path, kept as the reference."""
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ModelError(f"{path} must be a list")
+        for i, item in enumerate(value):
+            _reference_check_json(item, f"{path}[{i}]", shape[0])
+    elif isinstance(shape, tuple):
+        if not isinstance(value, dict):
+            raise ModelError(f"{path} must be an object")
+        for key, field_shape, required in shape:
+            if value.get(key) is not None:
+                _reference_check_json(value[key], f"{path}.{key}", field_shape)
+            elif required:
+                raise ModelError(f"{path}.{key} missing")
+    elif not isinstance(value, shape) or isinstance(value, bool):
+        raise ModelError(f"{path} must be {_TYPE_NAMES[shape]}")
+    return value
+
+
+_DROP = object()
+# what a damaged place may hold instead: nothing, or a value of each JSON kind
+_DAMAGE = [_DROP, None, True, False, 1.5, -2, "3", "s", [], [{}], [1, "a"], {}, {"id": "x"}]
+
+_DECOMPOSITION = {
+    "tates": [{"x": 0, "y": 1}, {"x": 2, "y": 0}],
+    "summands": [{"class": {"quadric": "a", "planes": 0}, "shift": 1, "kind": "declared"}],
+}
+
+
+def _places(value, prefix=()):
+    """Every dict key and list index inside a JSON value, as paths from the top."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, item in items:
+        out.append(prefix + (key,))
+        out.extend(_places(item, prefix + (key,)))
+    return out
+
+
+def _outcome(check, value, path, shape):
+    try:
+        check(value, path, shape)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_check_json_matches_the_recursive_reference(data):
+    subject = data.draw(st.sampled_from(["model", "decomposition"]))
+    value = declared_fixture() if subject == "model" else copy.deepcopy(_DECOMPOSITION)
+    place = data.draw(st.none() | st.sampled_from(_places(value)))
+    if place is not None:
+        *outer, last = place
+        holder = value
+        for key in outer:
+            holder = holder[key]
+        damage = data.draw(st.sampled_from(_DAMAGE))
+        if damage is _DROP:
+            del holder[last]
+        else:
+            holder[last] = copy.deepcopy(damage)
+    if subject == "model":
+        checks = [(value.get(name, []), name, shape) for name, shape in _SCHEMA.items()]
+    else:
+        checks = [(value, 'decomps["a"]', DECOMPOSITION_SHAPE)]
+    got = [_outcome(check_json, *args) for args in checks]
+    assert got == [_outcome(_reference_check_json, *args) for args in checks]
+    if place is None:
+        assert got == [None] * len(checks)
 
 
 def test_declared_extensions_must_preexist():
@@ -400,6 +518,32 @@ def test_add_extension_refuses_unknown_join_constituents():
     assert model.extension_tokens() == ["k"]
     with pytest.raises(ModelError, match="unknown extension 'A'"):
         model.ancestors("A")
+
+
+def test_parentless_extension_is_refused():
+    # with nothing below it, x escaped the monotonicity check against k
+    data = {
+        "forms": [{"id": "b", "dim": 4}],
+        "extensions": [{"id": "k", "construction": "base"},
+                       {"id": "x", "construction": "ff:a"}],
+        "witt": [{"form": "b", "extension": "k", "index": 2},
+                 {"form": "b", "extension": "x", "index": 0}],
+    }
+    message = "extension 'x' has neither a parent nor join constituents"
+    with pytest.raises(ModelError, match=message):
+        declared_lattice_from_data(data)
+    data["extensions"][1]["parent"] = "k"
+    drop = r"\[monotonicity\] form b at x: i_W drops from 2 at k to 0"
+    with pytest.raises(ModelError, match=drop):
+        declared_lattice_from_data(data)
+
+    model = DeclaredLattice()
+    model.add_extension(Extension("k", None, "base"))
+    with pytest.raises(ModelError, match=message):
+        model.add_extension(Extension("x", None, "ff:a"))
+    # join constituents alone place a node below them
+    assert model.add_extension(Extension("j", None, "join:k")) == "j"
+    assert model.ancestors("j") == {"k"}
 
 
 def test_prime_tracks_the_declared_link():
