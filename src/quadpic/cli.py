@@ -388,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse of some Python versions reads "--opt=--" as an empty list
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.handler(args)
     except (QuadPicError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -12,25 +12,31 @@ and the derived extensions:
   function field of an anisotropic quadric of dimension d drops the level
   to min(s, 2^(r-1)) where 2^(r-1) < d <= 2^r; isotropic quadrics are
   rational, so their function fields are purely transcendental and keep
-  the level.  Nodes are added append-only and Witt indices memoized.
+  the level.  Nodes are added append-only, and Witt indices are memoized
+  per (form, level), so a node added later at a known level is answered
+  from the memo.
 
 * DeclaredLattice -- Witt indices come from an explicit table; extensions
   must pre-exist.  Tables are checked by validate() against four invariant
   families (monotonicity, ceiling, codimension-1 step, self-isotropy).
 
-Oracles are pure given a frozen lattice.  Concurrent oracle reads
-(witt_index, phi_affine) of a lattice that nothing grows meanwhile give the
-serial answers; growing a lattice while others read it is not supported.
+Oracles are pure given a frozen lattice.  Concurrent reads through every
+memo (witt_index, phi_affine, phi_det, active_index) of a lattice that
+nothing grows meanwhile give the serial answers, which a test checks;
+growing a lattice while others read it is not supported.
 
 Every oracle answer at an extension depends only on its oracle group (see
-token_groups): the level on the real backend, the token itself on the
-declared backend.  Lattice-wide sweeps evaluate once per group, and
-real_lattice works out each round's children once per level.
+oracle_group and token_groups): the level on the real backend, the token
+itself on the declared backend.  Lattice-wide sweeps evaluate once per
+group, real_lattice works out each round's children once per level, and
+every per-extension memo holds one entry per group: the Witt memo here,
+and the memos that the twists and tower layers keep in memos[layer].
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ModelError
@@ -157,7 +163,9 @@ class ExtensionLattice:
         self._extensions: dict[str, Extension] = {}
         self._forms: dict[str, QuadraticForm] = {}
         self._base: str | None = None
-        self._twist_cache: dict[tuple, object] = {}
+        # one memo per layer that reads it, under the layer's name; the layer
+        # owns the keys, and each key names an oracle group, never a token
+        self.memos: defaultdict[str, dict] = defaultdict(dict)
         self._ancestor_cache: dict[str, frozenset[str]] = {}
         # registries used by the decomposition layer (see decomp.py)
         self.decompositions: dict[str, object] = {}
@@ -366,7 +374,7 @@ class RealLattice(ExtensionLattice):
         super().__init__()
         self._levels: dict[str, float] = {}
         self._groups: dict[float, list[str]] = {}  # tokens per level, in insertion order
-        self._witt_memo: dict[tuple[str, str], int] = {}
+        self._witt_memo: dict[tuple[str, float], int] = {}  # (form key, level)
 
     def _index_extension(self, ext: Extension, level) -> None:
         if level is None:
@@ -375,8 +383,13 @@ class RealLattice(ExtensionLattice):
         self._groups.setdefault(level, []).append(ext.token)
 
     def level(self, token: str):
-        self.extension(token)
-        return self._levels[token]
+        try:
+            return self._levels[token]
+        except KeyError:
+            raise ModelError(f"unknown extension {token!r}") from None
+
+    # a real oracle answer reads only the level of its extension
+    oracle_group = level
 
     def token_groups(self) -> list[list[str]]:
         """Every token, grouped so that each oracle answer is constant on a group.
@@ -408,12 +421,14 @@ class RealLattice(ExtensionLattice):
         return q_prime if q_prime.key in self._forms else None
 
     def witt_index(self, q: QuadraticForm, extension: str) -> int:
-        key = (q.key, extension)
+        level = self._levels.get(extension)
+        if level is None:
+            level = self.level(extension)  # refuses the unknown token
+        key = (q.key, level)
         cached = self._witt_memo.get(key)
         # a declared id may spell a real key, and must still be refused
         if cached is not None and q.is_real:
             return cached
-        level = self.level(extension)
         if not q.is_real:
             raise ModelError(f"declared form {q.key} has no real signature")
         result = (q.dim - abs(_balanced(q.pos - q.neg, level))) // 2
@@ -492,6 +507,10 @@ class DeclaredLattice(ExtensionLattice):
     def token_groups(self) -> list[list[str]]:
         """Every token in a group of its own, in insertion order."""
         return [[token] for token in self._extensions]
+
+    def oracle_group(self, token: str) -> str:
+        """A declared answer may differ at every token, so each is its own group."""
+        return token
 
     def register_form(self, q: QuadraticForm) -> str:
         if q.is_real:
@@ -722,24 +741,27 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
             raise ModelError(f"parent graph has a cycle through {sorted(pending)}")
     if model._base is None:
         raise ModelError("declared model has no base extension")
-    tokens = model.extension_tokens()
 
-    seen: set[tuple[str, str]] = set()
+    known_forms, known_tokens, table = model._forms, model._extensions, model._witt
     for item in witt:
         fk, tok, value = item["form"], item["extension"], item["index"]
-        if fk not in model._forms:
+        if fk not in known_forms:
             raise ModelError(f"witt entry for unknown form {fk!r}")
-        model.extension(tok)
+        if tok not in known_tokens:
+            raise ModelError(f"unknown extension {tok!r}")
         if value < 0:
             raise ModelError(f"negative Witt index for {fk} at {tok}")
-        if (fk, tok) in seen:
+        if (fk, tok) in table:
             raise ModelError(f"duplicate witt entry for {fk} at {tok}")
-        seen.add((fk, tok))
-        model._witt[(fk, tok)] = value
-    for fk in model.form_keys():
-        for tok in tokens:
-            if (fk, tok) not in model._witt:
-                raise ModelError(f"witt table misses {fk} at {tok}")
+        table[(fk, tok)] = value
+    # every entry is a distinct known (form, token), so the table is total
+    # exactly when it has one entry per cell; otherwise name the first gap
+    if len(table) != len(known_forms) * len(known_tokens):
+        tokens = model.extension_tokens()
+        for fk in model.form_keys():
+            for tok in tokens:
+                if (fk, tok) not in table:
+                    raise ModelError(f"witt table misses {fk} at {tok}")
 
     if check:
         report = model.validate()
@@ -770,11 +792,17 @@ def lattice_to_data(model: ExtensionLattice) -> dict:
         if ext.parent is not None:
             entry["parent"] = ext.parent
         extensions.append(entry)
-    witt = [
-        {"form": fk, "extension": tok, "index": model.witt_index(model.form(fk), tok)}
-        for fk in model.form_keys()
-        for tok in tokens
-    ]
+    # one Witt row per oracle group, read at the group's first token and
+    # written out for every token of the group
+    first_of = {tok: group[0] for group in model.token_groups() for tok in group}
+    firsts = [tok for tok in tokens if first_of[tok] == tok]
+    witt = []
+    for fk in model.form_keys():
+        q = model.form(fk)
+        row = {first: model.witt_index(q, first) for first in firsts}
+        witt.extend(
+            {"form": fk, "extension": tok, "index": row[first_of[tok]]} for tok in tokens
+        )
     return {"forms": forms, "extensions": extensions, "witt": witt}
 
 

@@ -6,6 +6,11 @@ X_{2t+1} = G(Q', t) and X_{2t+2} = G(Q, t).  Point existence is downward
 closed along the tower, the largest pointed slot is the active index, and
 the twist of e^q reads off from that index alone.  Everything is driven by
 the point-existence oracle; no motive objects appear.
+
+The active index is memoized in the lattice's memos["tower"], one entry per
+(form, oracle group).  This route reads neither the twists layer nor its
+memo, and the twists layer never reads this one, so comparing the two
+routes compares two separate computations.
 """
 
 from __future__ import annotations
@@ -53,8 +58,25 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
     """Largest tower slot with a rational point over the extension (0 if none).
 
     A pointed slot above an unpointed one breaks downward closure and means
-    the model is invalid; that is a hard error, not a verdict.
+    the model is invalid; that is a hard error, not a verdict, and it is
+    raised again on every call.  A point oracle without oracle groups is
+    probed afresh on every call.
     """
+    group_of = getattr(model, "oracle_group", None)
+    if group_of is None:
+        return _probe(tower, extension, model)
+    memo = model.memos["tower"]
+    form = tower.form
+    # is_real keeps a declared id that spells a real key off the real entry
+    key = (form.key, form.is_real, group_of(extension))
+    slot = memo.get(key)
+    if slot is None:
+        slot = memo[key] = _probe(tower, extension, model)
+    return slot
+
+
+def _probe(tower: ProjectorTower, extension, model) -> int:
+    """The active index, probing has_rational_point slot by slot."""
     active = 0
     gap = None
     for i, grass in enumerate(tower.entries, start=1):

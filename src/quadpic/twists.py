@@ -4,7 +4,10 @@ Twists (x)[y] form the rank-2 free abelian group Z^2; all arithmetic is
 exact integers (the target group is torsion free, so no reduction ever
 happens).  The evaluators below compute, from Witt indices alone, the
 twist value of the affine-quadric generator e^q and of det(Q) at an
-extension of the lattice.
+extension of the lattice.  They memoize their values in the lattice's
+memos["twists"], one entry per (form, oracle group), so every token of a
+group shares one evaluation.  The memo holds values only; an extension or
+form that the oracle refuses is refused again on every call.
 """
 
 from __future__ import annotations
@@ -65,9 +68,10 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
     With P, P' the quadrics of q and q' and j_P, j_P' their Witt indices,
     the value is the difference of the two split sums over P' and P.
     """
-    cache = model._twist_cache
-    key = ("affine", q.key, extension)
-    value = cache.get(key)
+    memo = model.memos["twists"]
+    # is_real keeps a declared id that spells a real key off the real entry
+    key = ("affine", q.key, q.is_real, model.oracle_group(extension))
+    value = memo.get(key)
     if value is None:
         q_prime = model.prime_of(q)
         j_p = model.witt_index(q, extension)
@@ -75,7 +79,7 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
         value = split_quadric_sum(q_prime.dim - 2, j_pp) - split_quadric_sum(
             q.dim - 2, j_p
         )
-        cache[key] = value
+        memo[key] = value
     return value
 
 
@@ -83,13 +87,14 @@ def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
     """Twist value of det(Q) at an extension: the split sum at i_W(Q_E)."""
     if quadric.is_empty:
         return ZERO_TWIST
-    cache = model._twist_cache
-    key = ("det", quadric.key, extension)
-    value = cache.get(key)
+    memo = model.memos["twists"]
+    form = quadric.canonical_form
+    key = ("det", quadric.key, form.is_real, model.oracle_group(extension))
+    value = memo.get(key)
     if value is None:
-        j = model.witt_index(quadric.canonical_form, extension)
+        j = model.witt_index(form, extension)
         value = split_quadric_sum(quadric.dim, j)
-        cache[key] = value
+        memo[key] = value
     return value
 
 

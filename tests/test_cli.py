@@ -316,6 +316,21 @@ def test_negative_lattice_depth_exits_two(capsys):
     assert out.out == "" and "--lattice-depth: must be >= 0" in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--expr=--", "--maxr", "0"],
+    ["phi", "--form=--"],
+    ["phi", "--form", "(1,1)", "--ext=--"],
+    ["--model=--", "validate"],
+])
+def test_double_dash_option_values_exit_two(capsys, argv):
+    # some Python versions parse "--opt=--" as an empty list, not a string
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "expected one argument" in out.err
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "--json", "decompose", "--form", "(6,2)")
     second = run(capsys, "--json", "decompose", "--form", "(6,2)")

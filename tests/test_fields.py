@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,14 @@ from quadpic import (
     ModelError,
     ProjectiveQuadric,
     QuadraticForm,
+    active_index,
+    build_tower,
     declared_lattice_from_data,
+    fields,
     lattice_to_data,
     parse_model,
+    phi_affine,
+    phi_det,
     prime,
     real_lattice,
     serialize_model,
@@ -84,6 +90,59 @@ def test_unknown_extension_is_an_error():
     model = real_lattice([], depth=0)
     with pytest.raises(ModelError):
         model.witt_index(real(1, 0), "nowhere")
+
+
+def test_witt_index_computes_once_per_form_and_level(monkeypatch):
+    model = real_lattice(real_forms(8), depth=2)
+    model._witt_memo.clear()
+    computed = []
+    balanced = fields._balanced
+
+    def counting(value, level):
+        computed.append(level)
+        return balanced(value, level)
+
+    monkeypatch.setattr(fields, "_balanced", counting)
+    forms = [model.form(key) for key in model.form_keys()]
+    for q in forms:
+        for token in model.extension_tokens():
+            model.witt_index(q, token)
+    # a fallback to token keys would compute once per (form, token)
+    assert len(model.extension_tokens()) > len(model.token_groups())
+    assert len(computed) <= len(forms) * len(model.token_groups())
+
+
+def _memoized_answers(lattice, q, token):
+    """What each memoized oracle gives for q at the token."""
+    return (
+        lattice.witt_index(q, token),
+        phi_affine(q, token, lattice),
+        phi_det(ProjectiveQuadric(q), token, lattice),
+        active_index(build_tower(q), token, lattice),
+    )
+
+
+def test_token_added_at_a_known_level_answers_from_the_memo():
+    forms = real_forms(6)
+    model = real_lattice(forms, depth=1)
+    before = set(model.extension_tokens())
+    levels = {model.level(token) for token in before}
+    for q in forms:
+        for token in before:
+            _memoized_answers(model, q, token)
+
+    deep = real(6, 0)
+    added = [t for t in model.ensure_splitting_tower(deep) if t not in before]
+    assert added and all(model.level(t) in levels for t in added)
+    sizes = [len(model._witt_memo), len(model.memos["twists"]), len(model.memos["tower"])]
+
+    fresh = real_lattice(forms, depth=1)
+    assert fresh.ensure_splitting_tower(deep)[-len(added):] == added
+
+    for q in forms:
+        for token in added:
+            assert _memoized_answers(model, q, token) == _memoized_answers(fresh, q, token)
+    assert [len(model._witt_memo), len(model.memos["twists"]), len(model.memos["tower"])] == sizes
 
 
 # ----------------------------------------------------------- rational points
@@ -375,10 +434,15 @@ def test_ingestion_rejects_structural_defects():
     with pytest.raises(ModelError):
         declared_lattice_from_data(bad)
 
-    bad = parse_model(serialize_model(good))
-    bad["witt"].pop()
-    with pytest.raises(ModelError):
-        declared_lattice_from_data(bad)
+    # a short table names its first gap in form-major, sorted-token order,
+    # whatever the order of its entries
+    cells = sorted((e["form"], e["extension"]) for e in good["witt"])
+    for gaps in ([cells[-1]], [cells[-1], cells[3]]):
+        bad = parse_model(serialize_model(good))
+        bad["witt"] = [e for e in reversed(bad["witt"]) if (e["form"], e["extension"]) not in gaps]
+        form, token = min(gaps)
+        with pytest.raises(ModelError, match=f"^witt table misses {re.escape(form)} at {re.escape(token)}$"):
+            declared_lattice_from_data(bad, check=False)
 
     bad = parse_model(serialize_model(good))
     for f in bad["forms"]:
@@ -553,25 +617,26 @@ def test_prime_tracks_the_declared_link():
 
 
 def test_concurrent_oracle_reads_match_serial_results():
-    # frozen lattice: concurrent (form, extension) evaluation must be safe
-    # and the memo cache behaviorally invisible
+    # frozen lattice: concurrent (form, extension) evaluation through every
+    # memo must be safe, and the memos behaviorally invisible
+    import sys
     from concurrent.futures import ThreadPoolExecutor
-
-    from quadpic import phi_affine
 
     forms = [real(p, n - p) for n in range(1, 9) for p in range(n + 1)]
     model = real_lattice(forms, depth=2)
     jobs = [
         (q, token) for q in forms for token in model.extension_tokens()
     ]
-    serial = [(model.witt_index(q, t), phi_affine(q, t, model)) for q, t in jobs]
+    serial = [_memoized_answers(model, q, t) for q, t in jobs]
 
     fresh = real_lattice(forms, depth=2)
-
-    def probe(job):
-        q, t = job
-        return (fresh.witt_index(q, t), phi_affine(q, t, fresh))
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent = list(pool.map(probe, jobs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent = list(
+                pool.map(lambda job: _memoized_answers(fresh, *job), jobs, timeout=60)
+            )
+    finally:
+        sys.setswitchinterval(interval)
     assert concurrent == serial

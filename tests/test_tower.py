@@ -13,6 +13,7 @@ from quadpic import (
     real_lattice,
     twist_readoff,
 )
+from quadpic.acceptance import real_forms
 
 real = QuadraticForm.real
 signatures = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
@@ -108,3 +109,60 @@ def test_downward_closure_violation_is_a_hard_error():
 
     with pytest.raises(ModelError):
         active_index(tower, "base", Shim())
+
+
+def test_active_index_probes_once_per_slot_and_group(monkeypatch):
+    model = real_lattice(real_forms(8), depth=2)
+    probes = []
+    oracle = model.has_rational_point
+
+    def counting(quadric, planes, extension):
+        probes.append(extension)
+        return oracle(quadric, planes, extension)
+
+    monkeypatch.setattr(model, "has_rational_point", counting)
+    tower = build_tower(real(5, 2))
+    for token in model.extension_tokens():
+        active_index(tower, token, model)
+    # a fallback to token keys would probe the tower at every token
+    assert len(model.extension_tokens()) > len(model.token_groups())
+    assert len(probes) <= len(tower.entries) * len(model.token_groups())
+
+
+def _criterion_1_mismatches(q, tower, model):
+    """The tokens where the tower read-off and the closed-form twist differ."""
+    return [
+        token
+        for token in model.extension_tokens()
+        if twist_readoff(active_index(tower, token, model), q.dim, tower.prime_quadric_dim)
+        != phi_affine(q, token, model)
+    ]
+
+
+def test_a_poisoned_memo_never_feeds_the_other_route():
+    # each route keeps its own memo, so a wrong entry in one shows up as a
+    # disagreement at every token of its group instead of passing both sides
+    q = real(3, 1)
+    tower = build_tower(q)
+    model = real_lattice(real_forms(6), depth=2)
+    group = max(model.token_groups(), key=len)
+    token = group[0]
+    assert len(group) > 1
+
+    truth = phi_affine(q, token, model)
+    (key,) = model.memos["twists"]  # the one entry phi_affine made
+    model.memos["twists"][key] = truth + TateTwist(1, 0)
+    assert phi_affine(q, token, model) != truth
+    slot = active_index(tower, token, model)
+    assert twist_readoff(slot, q.dim, tower.prime_quadric_dim) == truth
+    assert _criterion_1_mismatches(q, tower, model) == sorted(group)
+
+    model = real_lattice(real_forms(6), depth=2)
+    clean = real_lattice(real_forms(6), depth=2)
+    slot = active_index(tower, token, model)
+    (key,) = model.memos["tower"]  # the one entry active_index made
+    model.memos["tower"][key] = slot - 1
+    assert active_index(tower, token, model) == slot - 1
+    for other in model.extension_tokens():
+        assert phi_affine(q, other, model) == phi_affine(q, other, clean)
+    assert _criterion_1_mismatches(q, tower, model) == sorted(group)

@@ -8,7 +8,11 @@ from quadpic import (
     QuadraticForm,
     TateTwist,
     ZERO_TWIST,
+    active_index,
+    build_tower,
+    declared_lattice_from_data,
     decompose_real,
+    lattice_to_data,
     phi_affine,
     phi_det,
     phi_ratio_summand,
@@ -144,3 +148,51 @@ def test_fingerprint_algebra():
     assert PhiFingerprint.from_json(a.to_json()) == a
     c = PhiFingerprint({"base": TateTwist(1, 2), "e": TateTwist(9, 9)})
     assert a.constant_difference(c) is None
+
+
+def _both_backends():
+    source = real_lattice([real(2, 1), real(3, 1)], depth=2)
+    return [source, declared_lattice_from_data(lattice_to_data(source))]
+
+
+@pytest.mark.parametrize("backend", ["real", "declared"])
+def test_warm_memos_still_refuse_unknown_tokens(backend):
+    model = dict(zip(["real", "declared"], _both_backends()))[backend]
+    q = model.form("(2,1)")
+    quadric, tower = ProjectiveQuadric(q), build_tower(q, model)
+    calls = [
+        lambda t: model.witt_index(q, t),
+        lambda t: phi_affine(q, t, model),
+        lambda t: phi_det(quadric, t, model),
+        lambda t: active_index(tower, t, model),
+    ]
+    for call in calls:
+        for token in model.extension_tokens():
+            call(token)
+        with pytest.raises(ModelError, match="unknown extension 'nowhere'"):
+            call("nowhere")
+
+
+def test_warm_memos_refuse_the_other_backends_forms():
+    # a declared id may spell a real key: a warm twist or tower memo must not
+    # answer for the other kind of form
+    source, declared = _both_backends()
+    spelled = QuadraticForm.declared("(2,1)", 3)
+    affine = phi_affine(real(2, 1), "base", source)
+    det = phi_det(ProjectiveQuadric(real(2, 1)), "base", source)
+    with pytest.raises(ModelError, match="declared form \\(2,1\\) has no prime link"):
+        phi_affine(spelled, "base", source)
+    with pytest.raises(ModelError, match="declared form \\(2,1\\) has no real signature"):
+        phi_det(ProjectiveQuadric(spelled), "base", source)
+
+    q = declared.form("(2,1)")
+    assert phi_affine(q, "base", declared) == affine
+    assert phi_det(ProjectiveQuadric(q), "base", declared) == det
+    assert active_index(build_tower(q, declared), "base", declared) == 3
+    for call in (
+        lambda: phi_affine(real(2, 1), "base", declared),
+        lambda: phi_det(ProjectiveQuadric(real(2, 1)), "base", declared),
+        lambda: active_index(build_tower(real(2, 1)), "base", declared),
+    ):
+        with pytest.raises(ModelError, match="is not in the declared table"):
+            call()
