@@ -128,21 +128,18 @@ def _cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _element_payload(name: str, element) -> dict:
-    return {
-        "command": name,
-        "element": element.to_json(),
-        "fingerprint": element.fingerprint().to_json(),
-    }
+def _emit_element(args, name: str, element) -> None:
+    """The element and its fingerprint, which is swept once for either output."""
+    fp = element.fingerprint()
+    _emit(args, {"command": name, "element": element.to_json(), "fingerprint": fp.to_json()},
+          element.render() + "\n" + fp.render())
 
 
 def _cmd_e(args) -> int:
     declared = _load_declared(args)
     q = _parse_form(args.form, declared)
     model = _lattice_for(args, declared, [q])
-    element = generator_e(q, model)
-    _emit(args, _element_payload("e", element),
-          element.render() + "\n" + element.fingerprint().render())
+    _emit_element(args, "e", generator_e(q, model))
     return EXIT_OK
 
 
@@ -153,9 +150,7 @@ def _cmd_det(args) -> int:
     flag = None
     if args.flag:
         flag = _parse_form_list(args.flag, declared)
-    element = det(ProjectiveQuadric(q), model, flag=flag)
-    _emit(args, _element_payload("det", element),
-          element.render() + "\n" + element.fingerprint().render())
+    _emit_element(args, "det", det(ProjectiveQuadric(q), model, flag=flag))
     return EXIT_OK
 
 

@@ -12,6 +12,9 @@ summands (kind rost:r, the two constituents sitting at T and
 T(2^(r-1)-1)[2^r-2]), recursing on the complementary dimension.  The
 recursion is not assumed correct: the Witt-consistency invariant ties it to
 the level model at every extension and is part of the test suite.
+
+Two registries live in the lattice's memos: "decompositions", keyed by
+(quadric key, is_real), and "classes", the union-find parents.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 
 from .errors import ModelError
 from .forms import (
-    DECLARED,
-    REAL,
     Grassmannian,
     ProjectiveQuadric,
     QuadraticForm,
@@ -62,7 +63,7 @@ class ClassKey:
 
 
 def _find(model, key: ClassKey) -> ClassKey:
-    parents = model.class_parents
+    parents = model.memos["classes"]
     root = key
     while parents.get(root, root) != root:
         root = parents[root]
@@ -76,7 +77,7 @@ def _union(model, a: ClassKey, b: ClassKey) -> ClassKey:
     if ra == rb:
         return ra
     keep, drop = (ra, rb) if ra.sort_key < rb.sort_key else (rb, ra)
-    model.class_parents[drop] = keep
+    model.memos["classes"][drop] = keep
     return keep
 
 
@@ -90,7 +91,7 @@ def canonical_class(model, key: ClassKey) -> ClassKey:
     New keys are compared against every existing root through the
     stable-birational oracle (smallest-key roots win the merge).
     """
-    parents = model.class_parents
+    parents = model.memos["classes"]
     if key not in parents:
         roots = sorted(
             {r for r in (_find(model, k) for k in list(parents)) if r != key},
@@ -182,17 +183,13 @@ def decompose_real(q: QuadraticForm, model) -> Decomposition:
     """Decompose the motive of the real quadric {q = 0}; registers the result.
 
     Registration is idempotent per quadric; reads of the registry are safe
-    alongside registration.
+    alongside registration.  A declared lattice refuses the real form.
     """
-    if model.backend != REAL:
-        raise ModelError(
-            "no canonical decomposition outside the real backend; "
-            "use declare_decomposition with explicit summand data"
-        )
     if not q.is_real or q.dim < 2:
         raise ModelError(f"decompose_real needs a real form of dim >= 2, got {q.key}")
     quadric = ProjectiveQuadric(q)
-    existing = model.decompositions.get(quadric.key)
+    registry = model.memos["decompositions"]
+    existing = registry.get((quadric.key, True))
     if existing is not None:
         return existing
     base_witt = model.witt_index(q, model.base)
@@ -204,7 +201,7 @@ def decompose_real(q: QuadraticForm, model) -> Decomposition:
     summands = _excellent_blocks(model, q.dim - 2 * base_witt, base_witt)
     result = Decomposition.make(quadric.key, tates, summands)
     _check_rank(result, q.dim)
-    model.decompositions[quadric.key] = result
+    registry[(quadric.key, True)] = result
     return result
 
 
@@ -220,38 +217,46 @@ def _check_rank(dec: Decomposition, form_dim: int) -> None:
 def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
     """Register externally supplied summand data for a declared quadric.
 
-    Classes are resolved through the stable-birational oracle; the rank
-    bookkeeping must close exactly.  Redeclaring with identical data is a
-    no-op, conflicting data is an error.
+    The form must be a declared form of the model.  Classes are resolved
+    through the stable-birational oracle; the rank bookkeeping must close
+    exactly.  Redeclaring with identical data is a no-op, conflicting data
+    is an error.
     """
-    if model.backend != DECLARED:
-        raise ModelError("declare_decomposition is for declared models")
+    if q.is_real:
+        raise ModelError(f"declare_decomposition needs a declared form, got real {q.key}")
+    known = set(model.form_keys())
+    # a real lattice may hold a real form whose key the declared id spells
+    if q.key not in known or model.form(q.key) != q:
+        raise ModelError(f"declared form {q.key} is not registered")
     quadric = ProjectiveQuadric(q)
     dec = data if isinstance(data, Decomposition) else Decomposition.from_json(quadric.key, data)
     resolved = []
     for s in dec.summands:
-        if s.cls.quadric not in model.form_keys():
+        if s.cls.quadric not in known:
             raise ModelError(f"summand class over unknown quadric {s.cls.quadric!r}")
         resolved.append(Summand(canonical_class(model, s.cls), s.shift, s.kind))
     result = Decomposition.make(quadric.key, dec.tates, resolved)
     _check_rank(result, q.dim)
-    existing = model.decompositions.get(quadric.key)
+    registry = model.memos["decompositions"]
+    existing = registry.get((quadric.key, False))
     if existing is not None:
         if existing != result:
             raise ModelError(f"conflicting decomposition redeclared for {quadric.key}")
         return existing
-    model.decompositions[quadric.key] = result
+    registry[(quadric.key, False)] = result
     return result
 
 
 def registered_decomposition(quadric: ProjectiveQuadric, model) -> Decomposition:
-    """Fetch (or, on the real backend, compute) the decomposition of M(Q)."""
+    """Fetch (or, for a real quadric, compute) the decomposition of M(Q)."""
     if quadric.is_empty:
         return Decomposition.make(quadric.key, [], [])
-    existing = model.decompositions.get(quadric.key)
+    # is_real keeps a declared id that spells a real key off the real entry
+    real = quadric.form.is_real
+    existing = model.memos["decompositions"].get((quadric.key, real))
     if existing is not None:
         return existing
-    if model.backend == REAL:
+    if real:
         return decompose_real(quadric.canonical_form, model)
     raise ModelError(f"no declared decomposition registered for {quadric.key}")
 
@@ -262,15 +267,14 @@ def tate_counts(summand: Summand, extension, model) -> tuple[list[int], list[int
     A rost:r block splits exactly when the r-fold definite Pfister form is
     hyperbolic there; the two constituents then sit at shift + 2^(r-1) - 1
     (upper) and shift (lower).  Declared summands carry no constituent
-    gradings, so they have no computable counts.
+    gradings, so they have no computable counts, and a declared lattice
+    refuses the real Pfister form.
     """
     r = summand.rost_degree
     if r is None:
         raise ModelError(
             f"summand {summand.cls.render()} has no constituent grading data"
         )
-    if model.backend != REAL:
-        raise ModelError("rost summand counts need the real backend")
     split = model.witt_index(pfister_real(r), extension) == 2 ** (r - 1)
     if not split:
         return ([], [])
@@ -286,10 +290,9 @@ def class_vector(decs) -> Counter:
     return counts
 
 
-def t_equivalent(a, b, model=None) -> bool:
+def t_equivalent(a, b, model) -> bool:
     """Tate-shift equivalence: same multiset of summand classes, Tates ignored."""
     va, vb = class_vector(a), class_vector(b)
-    if model is not None:
-        va = Counter({(_find(model, cls), kind): n for (cls, kind), n in va.items()})
-        vb = Counter({(_find(model, cls), kind): n for (cls, kind), n in vb.items()})
+    va = Counter({(_find(model, cls), kind): n for (cls, kind), n in va.items()})
+    vb = Counter({(_find(model, cls), kind): n for (cls, kind), n in vb.items()})
     return va == vb

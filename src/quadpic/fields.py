@@ -17,8 +17,9 @@ and the derived extensions:
   from the memo.
 
 * DeclaredLattice -- Witt indices come from an explicit table; extensions
-  must pre-exist.  Tables are checked by validate() against four invariant
-  families (monotonicity, ceiling, codimension-1 step, self-isotropy).
+  must pre-exist, so it builds no splitting towers.  Tables are checked by
+  validate() against four invariant families (monotonicity, ceiling,
+  codimension-1 step, self-isotropy).
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
 memo (witt_index, phi_affine, phi_det, active_index) of a lattice that
@@ -30,7 +31,8 @@ oracle_group and token_groups): the level on the real backend, the token
 itself on the declared backend.  Lattice-wide sweeps evaluate once per
 group, real_lattice works out each round's children once per level, and
 every per-extension memo holds one entry per group: the Witt memo here,
-and the memos that the twists and tower layers keep in memos[layer].
+and the memos that the twists and tower layers keep in memos[layer]; decomp
+keeps its registries there too.  No memo key names a token.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from dataclasses import dataclass, field
 
 from .errors import ModelError
 from .forms import (
-    DECLARED,
-    REAL,
     Grassmannian,
     ProjectiveQuadric,
     QuadraticForm,
@@ -157,19 +157,16 @@ class ValidationReport:
 class ExtensionLattice:
     """Finite poset of field extensions and its forms; a subclass supplies the oracle."""
 
-    backend: str  # REAL or DECLARED, set by each subclass
-
     def __init__(self):
         self._extensions: dict[str, Extension] = {}
         self._forms: dict[str, QuadraticForm] = {}
         self._base: str | None = None
-        # one memo per layer that reads it, under the layer's name; the layer
-        # owns the keys, and each key names an oracle group, never a token
+        # the memos and registries of the layers above: twists and tower keep
+        # one memo each under their own name, decomp its two registries under
+        # "decompositions" and "classes"; each layer owns its keys, and no key
+        # names a token (a per-extension memo keys by oracle group)
         self.memos: defaultdict[str, dict] = defaultdict(dict)
         self._ancestor_cache: dict[str, frozenset[str]] = {}
-        # registries used by the decomposition layer (see decomp.py)
-        self.decompositions: dict[str, object] = {}
-        self.class_parents: dict = {}
 
     # ----------------------------------------------------------- structure
 
@@ -368,8 +365,6 @@ class ExtensionLattice:
 class RealLattice(ExtensionLattice):
     """The real level model: nodes are made on demand, Witt indices memoized."""
 
-    backend = REAL
-
     def __init__(self):
         super().__init__()
         self._levels: dict[str, float] = {}
@@ -489,8 +484,6 @@ class RealLattice(ExtensionLattice):
 class DeclaredLattice(ExtensionLattice):
     """Witt indices from an explicit table; every extension must pre-exist."""
 
-    backend = DECLARED
-
     def __init__(self):
         super().__init__()
         self._witt: dict[tuple[str, str], int] = {}
@@ -578,6 +571,11 @@ class DeclaredLattice(ExtensionLattice):
                 f"declared model has no extension {construction} for {grass!r}"
             )
         return found
+
+    def ensure_splitting_tower(self, q: QuadraticForm) -> None:
+        """Add nothing: a declared lattice is fixed.  A real form is refused."""
+        if q.is_real:
+            raise ModelError(f"real form {q.key} is not in the declared table")
 
 
 # ------------------------------------------------------------ real builder

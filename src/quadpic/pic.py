@@ -11,10 +11,11 @@ independent equality routes exist:
   pointwise twist values over the lattice, plus a formal closure value
   computed from dimensions alone.
 
-Real-backend algorithms that need a separating lattice (relations, the
+Algorithms that need a separating lattice (relations, the
 motivic-equivalence criterion, the real basis) first materialize the full
 generic splitting towers of every form involved; in the level model those
-towers isolate each Rost class at its splitting level.
+towers isolate each Rost class at its splitting level.  A declared lattice
+is fixed and builds none.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .decomp import (
 )
 from .errors import DisagreementError, ModelError
 from .forms import (
-    REAL,
     Grassmannian,
     ProjectiveQuadric,
     QuadraticForm,
@@ -57,7 +57,7 @@ def _form_sort_key(key: str):
 class PicElement:
     """An element of the Picard subgroup, bound to one lattice."""
 
-    __slots__ = ("model", "tate", "word", "_fp_cache")
+    __slots__ = ("model", "tate", "word")
 
     def __init__(self, model, tate: TateTwist = ZERO_TWIST, word=()):
         self.model = model
@@ -66,7 +66,6 @@ class PicElement:
         self.word = tuple(
             sorted(((a, c) for a, c in items.items() if c != 0), key=lambda ac: _atom_sort_key(ac[0]))
         )
-        self._fp_cache = None
 
     # ------------------------------------------------------------- algebra
 
@@ -87,9 +86,6 @@ class PicElement:
 
     def inverse(self) -> "PicElement":
         return self**-1
-
-    def is_identity_word(self) -> bool:
-        return not self.word and not self.tate
 
     # -------------------------------------------------------------- values
 
@@ -124,15 +120,9 @@ class PicElement:
 
     def fingerprint(self) -> PhiFingerprint:
         groups = self.model.token_groups()
-        # the lattice only grows, so its node count identifies its state
-        nodes = sum(map(len, groups))
-        if self._fp_cache is not None and self._fp_cache[0] == nodes:
-            return self._fp_cache[1]
-        fp = PhiFingerprint(
+        return PhiFingerprint(
             {t: value for group, value in _sweep(groups, self.value_at) for t in group}
         )
-        self._fp_cache = (nodes, fp)
-        return fp
 
     # ---------------------------------------------------------- det vector
 
@@ -531,9 +521,9 @@ class RelationsVerdict:
 
 
 def _ensure_towers(model, forms) -> None:
-    if model.backend == REAL:
-        for q in forms:
-            model.ensure_splitting_tower(q)
+    """Build each form's splitting tower; a declared lattice adds nothing."""
+    for q in forms:
+        model.ensure_splitting_tower(q)
 
 
 def det_product(quadrics, model) -> PicElement:
@@ -620,8 +610,8 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     expansion cannot be returned.
     """
     model = x.model
-    if model.backend != REAL:
-        raise ModelError("the Pfister basis exists over the real backend")
+    # a declared lattice refuses the real Pfister forms, even where maxr asks for none
+    model.register_form(pfister_real(1))
     vec = x.det_vector()
     if vec is None:
         raise ModelError("missing decompositions for the basis expansion")

@@ -59,36 +59,28 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
 
     A pointed slot above an unpointed one breaks downward closure and means
     the model is invalid; that is a hard error, not a verdict, and it is
-    raised again on every call.  A point oracle without oracle groups is
-    probed afresh on every call.
+    raised again on every call.
     """
-    group_of = getattr(model, "oracle_group", None)
-    if group_of is None:
-        return _probe(tower, extension, model)
     memo = model.memos["tower"]
     form = tower.form
     # is_real keeps a declared id that spells a real key off the real entry
-    key = (form.key, form.is_real, group_of(extension))
-    slot = memo.get(key)
-    if slot is None:
-        slot = memo[key] = _probe(tower, extension, model)
-    return slot
-
-
-def _probe(tower: ProjectorTower, extension, model) -> int:
-    """The active index, probing has_rational_point slot by slot."""
+    key = (form.key, form.is_real, model.oracle_group(extension))
+    active = memo.get(key)
+    if active is not None:
+        return active
     active = 0
     gap = None
     for i, grass in enumerate(tower.entries, start=1):
         if model.has_rational_point(grass.quadric, grass.planes, extension):
             if gap is not None:
                 raise ModelError(
-                    f"tower of {tower.form.key}: slot {i} pointed above unpointed "
+                    f"tower of {form.key}: slot {i} pointed above unpointed "
                     f"slot {gap} (downward closure violated)"
                 )
             active = i
         elif gap is None:
             gap = i
+    memo[key] = active
     return active
 
 

@@ -86,6 +86,7 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
 def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
     """Twist value of det(Q) at an extension: the split sum at i_W(Q_E)."""
     if quadric.is_empty:
+        model.extension(extension)  # refuses an unknown token
         return ZERO_TWIST
     memo = model.memos["twists"]
     form = quadric.canonical_form
@@ -129,22 +130,12 @@ class PhiFingerprint:
     def __eq__(self, other) -> bool:
         return isinstance(other, PhiFingerprint) and self.entries == other.entries
 
-    def __add__(self, other: "PhiFingerprint") -> "PhiFingerprint":
-        if self.tokens() != other.tokens():
-            raise ValueError("fingerprints over different lattices")
-        return PhiFingerprint(
-            {t: self.entries[t] + other.entries[t] for t in self.entries}
-        )
-
     def __sub__(self, other: "PhiFingerprint") -> "PhiFingerprint":
         if self.tokens() != other.tokens():
             raise ValueError("fingerprints over different lattices")
         return PhiFingerprint(
             {t: self.entries[t] - other.entries[t] for t in self.entries}
         )
-
-    def __rmul__(self, scalar: int) -> "PhiFingerprint":
-        return PhiFingerprint({t: scalar * v for t, v in self.entries.items()})
 
     def is_constant(self) -> TateTwist | None:
         values = set(self.entries.values())
@@ -158,7 +149,3 @@ class PhiFingerprint:
 
     def to_json(self) -> dict:
         return {t: self.entries[t].to_json() for t in self.tokens()}
-
-    @staticmethod
-    def from_json(data: dict) -> "PhiFingerprint":
-        return PhiFingerprint({t: TateTwist.from_json(v) for t, v in data.items()})

@@ -8,11 +8,11 @@ import pytest
 
 import quadpic
 
-from quadpic import lattice_to_data, real_lattice, serialize_model
+from quadpic import generator_e, lattice_to_data, real_lattice, serialize_model
 from quadpic.cli import main
 from quadpic.decomp import Decomposition
 from quadpic.forms import QuadraticForm
-from quadpic.twists import PhiFingerprint, TateTwist
+from quadpic.twists import TateTwist
 
 real = QuadraticForm.real
 
@@ -51,10 +51,10 @@ def test_inverse_check_exit_codes(capsys):
 
 def test_e_fingerprint_round_trip(capsys):
     code, out, _ = run(capsys, "--json", "e", "--form", "(2,1)")
-    payload = json.loads(out)
-    fp = PhiFingerprint.from_json(payload["fingerprint"])
-    assert fp.entries["base"] == TateTwist(1, 3)
-    assert json.loads(json.dumps(fp.to_json())) == payload["fingerprint"]
+    fingerprint = json.loads(out)["fingerprint"]
+    assert fingerprint["base"] == {"x": 1, "y": 3}
+    model = real_lattice([real(2, 1)], depth=3)
+    assert fingerprint == generator_e(real(2, 1), model).fingerprint().to_json()
 
 
 def test_det_flag_argument(capsys):

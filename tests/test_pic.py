@@ -79,7 +79,8 @@ def test_group_laws():
     assert (a * a.inverse()).equality(identity(model)).equal
     assert a.inverse().word == (((("e", "(2,1)")), -1),)
     assert (a * b).fingerprint() == (b * a).fingerprint()
-    assert ((a * b) ** 2).fingerprint() == 2 * (a * b).fingerprint()
+    squared = {t: 2 * v for t, v in (a * b).fingerprint().entries.items()}
+    assert ((a * b) ** 2).fingerprint().entries == squared
     with pytest.raises(ModelError):
         a * generator_e(real(2, 1), rich_lattice())
 
@@ -144,7 +145,7 @@ def test_det_flag_invariance_explicit():
 def test_det_of_empty_quadric_is_identity():
     model = rich_lattice()
     element = det(quadric(1, 0), model)
-    assert element.is_identity_word()
+    assert element.word == () and element.tate == TateTwist(0, 0)
 
 
 def test_invalid_flags_rejected():

@@ -99,16 +99,8 @@ def test_downward_closure_violation_is_a_hard_error():
             entry["index"] = 0
     model = declared_lattice_from_data(data, check=False)
     q = model.form("(2,1)")
-    tower = build_tower(real(2, 1))
-
-    class Shim:
-        """Point oracle answering from the declared table for real keys."""
-
-        def has_rational_point(self, quadric, planes, token):
-            return model.witt_index(model.form(quadric.key), token) > planes
-
-    with pytest.raises(ModelError):
-        active_index(tower, "base", Shim())
+    with pytest.raises(ModelError, match="downward closure violated"):
+        active_index(build_tower(q, model), "base", model)
 
 
 def test_active_index_probes_once_per_slot_and_group(monkeypatch):
