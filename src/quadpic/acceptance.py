@@ -42,11 +42,11 @@ class CriterionResult:
         return f"{status} criterion {self.number}: {self.title} ({self.detail})"
 
 
-def real_forms(max_dim: int, min_dim: int = 1) -> list[QuadraticForm]:
-    """Every real signature with min_dim <= dim <= max_dim."""
+def real_forms(max_dim: int) -> list[QuadraticForm]:
+    """Every real signature with 1 <= dim <= max_dim."""
     return [
         QuadraticForm.real(p, n - p)
-        for n in range(min_dim, max_dim + 1)
+        for n in range(1, max_dim + 1)
         for p in range(n + 1)
     ]
 

@@ -72,15 +72,6 @@ def _find(model, key: ClassKey) -> ClassKey:
     return root
 
 
-def _union(model, a: ClassKey, b: ClassKey) -> ClassKey:
-    ra, rb = _find(model, a), _find(model, b)
-    if ra == rb:
-        return ra
-    keep, drop = (ra, rb) if ra.sort_key < rb.sort_key else (rb, ra)
-    model.memos["classes"][drop] = keep
-    return keep
-
-
 def _grassmannian(model, key: ClassKey) -> Grassmannian:
     return Grassmannian(ProjectiveQuadric(model.form(key.quadric)), key.planes)
 
@@ -93,15 +84,13 @@ def canonical_class(model, key: ClassKey) -> ClassKey:
     """
     parents = model.memos["classes"]
     if key not in parents:
-        roots = sorted(
-            {r for r in (_find(model, k) for k in list(parents)) if r != key},
-            key=lambda k: k.sort_key,
-        )
-        parents.setdefault(key, key)
+        roots = sorted({_find(model, k) for k in list(parents)}, key=lambda k: k.sort_key)
+        parents[key] = key
         mine = _grassmannian(model, key)
         for root in roots:
             if model.stably_birational(mine, _grassmannian(model, root)):
-                _union(model, key, root)
+                keep, drop = (key, root) if key.sort_key < root.sort_key else (root, key)
+                parents[drop] = keep
                 break
     return _find(model, key)
 
@@ -182,8 +171,8 @@ def _excellent_blocks(model, dim: int, shift: int) -> list[Summand]:
 def decompose_real(q: QuadraticForm, model) -> Decomposition:
     """Decompose the motive of the real quadric {q = 0}; registers the result.
 
-    Registration is idempotent per quadric; reads of the registry are safe
-    alongside registration.  A declared lattice refuses the real form.
+    Registration is idempotent per quadric.  A declared lattice refuses the
+    real form.
     """
     if not q.is_real or q.dim < 2:
         raise ModelError(f"decompose_real needs a real form of dim >= 2, got {q.key}")
@@ -224,10 +213,10 @@ def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
     """
     if q.is_real:
         raise ModelError(f"declare_decomposition needs a declared form, got real {q.key}")
-    known = set(model.form_keys())
     # a real lattice may hold a real form whose key the declared id spells
-    if q.key not in known or model.form(q.key) != q:
+    if not model.holds(q):
         raise ModelError(f"declared form {q.key} is not registered")
+    known = set(model.form_keys())
     quadric = ProjectiveQuadric(q)
     dec = data if isinstance(data, Decomposition) else Decomposition.from_json(quadric.key, data)
     resolved = []

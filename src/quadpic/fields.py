@@ -225,6 +225,10 @@ class ExtensionLattice:
     def form_keys(self) -> list[str]:
         return sorted(self._forms)
 
+    def holds(self, q: QuadraticForm) -> bool:
+        """Whether q is the form registered under its key."""
+        return self._forms.get(q.key) == q
+
     def ancestors(self, token: str) -> frozenset[str]:
         """Strict ancestors: parents and join constituents, transitively."""
         cached = self._ancestor_cache.get(token)
@@ -345,7 +349,7 @@ class ExtensionLattice:
             try:
                 form = self.form(form_key)
                 value = self.witt_index(form, tok)
-            except (ModelError, ValueError) as exc:
+            except ModelError as exc:
                 report.violations.append(
                     Violation("self-isotropy", form_key, tok, f"unresolvable: {exc}")
                 )
@@ -404,7 +408,12 @@ class RealLattice(ExtensionLattice):
 
     def form(self, key: str) -> QuadraticForm:
         got = self._forms.get(key)
-        return got if got is not None else real_form_from_key(key)
+        if got is not None:
+            return got
+        try:
+            return real_form_from_key(key)
+        except ValueError:
+            raise ModelError(f"unknown form {key!r}") from None
 
     def prime_of(self, q: QuadraticForm) -> QuadraticForm:
         if not q.is_real:

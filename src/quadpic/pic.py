@@ -119,10 +119,7 @@ class PicElement:
         return total
 
     def fingerprint(self) -> PhiFingerprint:
-        groups = self.model.token_groups()
-        return PhiFingerprint(
-            {t: value for group, value in _sweep(groups, self.value_at) for t in group}
-        )
+        return PhiFingerprint({t: value for group, value in _sweep(self) for t in group})
 
     # ---------------------------------------------------------- det vector
 
@@ -168,10 +165,7 @@ class PicElement:
             return EqualityVerdict(True, True, "class vector and base twist agree")
         if diff.closure_value():
             return EqualityVerdict(False, True, "closure twist values differ")
-        differing = [
-            min(group) for group, value in _sweep(self.model.token_groups(), diff.value_at)
-            if value
-        ]
+        differing = [min(group) for group, value in _sweep(diff) if value]
         if differing:
             return EqualityVerdict(False, True, f"twist values differ at {min(differing)}")
         return EqualityVerdict(
@@ -220,10 +214,10 @@ class EqualityVerdict:
         return not self.exact
 
 
-def _sweep(groups, evaluate):
-    """(group, value) for each oracle group; evaluate runs on one token per group."""
-    for group in groups:
-        yield group, evaluate(group[0])
+def _sweep(element: PicElement):
+    """(group, value) per oracle group, evaluating the element at one token of each."""
+    for group in element.model.token_groups():
+        yield group, element.value_at(group[0])
 
 
 # ---------------------------------------------------------------- builders
@@ -241,7 +235,7 @@ def generator_e(q: QuadraticForm, model) -> PicElement:
     """The generator e^q (the shifted reduced motive of {q = 1})."""
     if q.is_real:
         model.register_form(q)
-    elif q.key not in model.form_keys():
+    elif not model.holds(q):
         raise ModelError(f"declared form {q.key} is not registered")
     return PicElement(model, word={(GEN_E, q.key): 1})
 
@@ -274,7 +268,7 @@ def det(quadric: ProjectiveQuadric, model, flag=None) -> PicElement:
     if not form.is_real:
         if flag is not None:
             raise ModelError("declared quadrics admit no flag data")
-        if form.key not in model.form_keys():
+        if not model.holds(form):
             raise ModelError(f"declared form {form.key} is not registered")
         return PicElement(model, word={(GEN_DET, form.key): 1})
     if quadric.is_empty:
@@ -371,7 +365,7 @@ def inverse_identity_check(q: QuadraticForm, model) -> InverseCheckReport:
     expected = TateTwist(q.dim, 2 * q.dim + 1)
     failures = sorted(
         (token, value)
-        for group, value in _sweep(model.token_groups(), product.value_at)
+        for group, value in _sweep(product)
         if value != expected
         for token in group
     )
@@ -500,7 +494,7 @@ def _kernels_equivalent(model, a: QuadraticForm | None, b: QuadraticForm | None)
     # synthetic kernels of isotropic declared forms have no function field in
     # the table; their isotropy is already a named violation on its own
     for kernel in (a, b):
-        if not kernel.is_real and kernel.key not in model.form_keys():
+        if not kernel.is_real and not model.holds(kernel):
             return False
     return model.stably_birational(Grassmannian(qa, 0), Grassmannian(qb, 0))
 
@@ -536,21 +530,19 @@ def det_product(quadrics, model) -> PicElement:
 def relations_check(ps, qs, model) -> RelationsVerdict:
     """Cross-check the two relation criteria for det-products.
 
-    (1) fingerprint equality modulo one constant Tate twist, the constant
-    also matching the formal closure values; (2) Tate-shift equivalence of
-    the registered decompositions.  The two verdicts must agree; if they do
-    not, the model or a decomposition is broken and that is a hard error.
+    (1) fingerprint equality modulo one constant Tate twist: the quotient
+    x * y^-1 of the two det-products, evaluated once per oracle group, takes
+    one value everywhere and that value is its formal closure value;
+    (2) Tate-shift equivalence of the registered decompositions.  The two
+    verdicts must agree; if they do not, the model or a decomposition is
+    broken and that is a hard error.
     """
     ps, qs = list(ps), list(qs)
     decs_p = [registered_decomposition(P, model) for P in ps]
     decs_q = [registered_decomposition(Q, model) for Q in qs]
     _ensure_towers(model, [P.canonical_form for P in ps + qs])
-    x = det_product(ps, model)
-    y = det_product(qs, model)
-    constant = x.fingerprint().constant_difference(y.fingerprint())
-    fp_verdict = constant is not None and (
-        x.closure_value() - y.closure_value() == constant
-    )
+    quotient = det_product(ps, model) * det_product(qs, model) ** -1
+    fp_verdict = {value for _, value in _sweep(quotient)} == {quotient.closure_value()}
     tequiv = t_equivalent(decs_p, decs_q, model)
     if fp_verdict != tequiv:
         raise DisagreementError(
@@ -605,9 +597,10 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     """Expand x over {e^(2^r * <1>)}, r <= maxr, by size-descending elimination.
 
     The largest Pfister degree present in the class vector is peeled with
-    the corresponding generator; the result is verified by exact fingerprint
-    equality (after materializing the splitting towers involved), so a wrong
-    expansion cannot be returned.
+    the corresponding generator; the result is verified by a fingerprint
+    round trip (after materializing the splitting towers involved): the
+    quotient of x by the expansion vanishes at every oracle group, so a
+    wrong expansion cannot be returned.
     """
     model = x.model
     # a declared lattice refuses the real Pfister forms, even where maxr asks for none
@@ -650,7 +643,7 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     _ensure_towers(model, [model.prime_of(f) for f in atom_forms])
     _ensure_towers(model, [pfister_real(r) for r in range(1, maxr + 1)])
     twist = x.base_value() - expanded.base_value()
-    reexpanded = expanded * tate_element(model, twist)
-    if x.fingerprint() != reexpanded.fingerprint():
+    residue = x * (expanded * tate_element(model, twist)) ** -1
+    if any(value for _, value in _sweep(residue)):
         raise DisagreementError("basis expansion fails the fingerprint round-trip")
     return BasisExpansion(tuple(sorted(coords.items())), twist)

@@ -130,20 +130,6 @@ class PhiFingerprint:
     def __eq__(self, other) -> bool:
         return isinstance(other, PhiFingerprint) and self.entries == other.entries
 
-    def __sub__(self, other: "PhiFingerprint") -> "PhiFingerprint":
-        if self.tokens() != other.tokens():
-            raise ValueError("fingerprints over different lattices")
-        return PhiFingerprint(
-            {t: self.entries[t] - other.entries[t] for t in self.entries}
-        )
-
-    def is_constant(self) -> TateTwist | None:
-        values = set(self.entries.values())
-        return values.pop() if len(values) == 1 else None
-
-    def constant_difference(self, other: "PhiFingerprint") -> TateTwist | None:
-        return (self - other).is_constant()
-
     def render(self) -> str:
         return "; ".join(f"{t}: {self.entries[t].render()}" for t in self.tokens())
 

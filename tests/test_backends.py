@@ -53,6 +53,19 @@ def test_the_decomposition_registry_keeps_the_backends_apart():
         registered_decomposition(ProjectiveQuadric(SPELLED), source)
 
 
+@pytest.mark.parametrize("build", [
+    generator_e,
+    lambda q, model: det(ProjectiveQuadric(q), model),
+], ids=["e", "det"])
+def test_generators_need_the_form_the_lattice_registered(build):
+    source, declared = twin_lattices()
+    # a declared id that spells a real key, and a declared id of another dimension
+    for form, model in [(SPELLED, source), (QuadraticForm.declared("(2,1)", 5), declared)]:
+        with pytest.raises(ModelError, match="declared form \\(2,1\\) is not registered"):
+            build(form, model)
+    assert build(declared.form("(2,1)"), declared).word
+
+
 def _rost_summand():
     return decompose_real(real(4, 0), real_lattice([], depth=0)).summands[0]
 

@@ -331,6 +331,42 @@ def test_double_dash_option_values_exit_two(capsys, argv):
     assert out.out == "" and "expected one argument" in out.err
 
 
+def test_inverse_check_fails_on_a_model_that_validates(tmp_path, capsys):
+    # c -> cp -> cpp is a prime chain with every index 0: each cell passes
+    # validate, but e^c * e^cp is the identity, not T(1)[3]
+    data = {
+        "forms": [
+            {"id": "c", "dim": 1, "prime": "cp"},
+            {"id": "cp", "dim": 2, "prime": "cpp"},
+            {"id": "cpp", "dim": 3},
+        ],
+        "extensions": [{"id": "k", "construction": "base"}],
+        "witt": [{"form": f, "extension": "k", "index": 0} for f in ("c", "cp", "cpp")],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_model(data), encoding="utf-8")
+    assert run(capsys, "--model", str(path), "validate")[0] == 0
+    assert run(capsys, "--model", str(path), "inverse-check", "--form", "c") == (
+        1, "fail at k: (0)[0] != (1)[3]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        # the empty quadric: det is the identity
+        (["det", "--form", "(1,0)"], 0, "T(0)[0]\nbase: (0)[0]\n"),
+        # a split prime, whose kernel is None
+        (["independent", "--forms", "(1,0);(0,1)"], 1,
+         "refused\n  prime (1,1) of (1,0) is isotropic over the base\n"),
+        # a prime whose kernel has dim < 2
+        (["independent", "--forms", "(1,1);(0,2)"], 1,
+         "refused\n  prime (2,1) of (1,1) is isotropic over the base\n"),
+    ],
+)
+def test_degenerate_real_forms_print_the_pinned_output(capsys, argv, code, stdout):
+    assert run(capsys, *argv) == (code, stdout, "")
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "--json", "decompose", "--form", "(6,2)")
     second = run(capsys, "--json", "decompose", "--form", "(6,2)")

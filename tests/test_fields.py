@@ -371,6 +371,17 @@ def test_witt_memo_hit_still_refuses_the_other_backends_forms():
     assert not declared.form("(1,1)").is_real
 
 
+def test_both_backends_refuse_an_unknown_form_key_alike():
+    model = real_lattice([], depth=0)
+    declared = declared_lattice_from_data(lattice_to_data(real_lattice([real(1, 1)], depth=0)))
+    for lattice in (model, declared):
+        for key in ("c1", "(0,0)", "(1,x)"):
+            with pytest.raises(ModelError, match=re.escape(f"unknown form {key!r}")):
+                lattice.form(key)
+    # an unregistered real key still names its form
+    assert model.form("(2,1)") is real(2, 1)
+
+
 def _digest(value) -> str:
     return hashlib.sha256(value.encode()).hexdigest()
 

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from quadpic import (
 )
 
 real = QuadraticForm.real
+SRC = Path(__file__).resolve().parents[1] / "src" / "quadpic"
 signatures = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
     lambda pm: pm[0] + pm[1] >= 1
 )
@@ -50,7 +53,7 @@ def test_generator_everywhere_anisotropic_has_zero_fingerprint():
     # a lattice whose only level drop (8) keeps (0,5) and (6,0) anisotropic
     model = real_lattice([real(16, 0)], depth=1)
     fp = generator_e(real(0, 5), model).fingerprint()
-    assert fp.is_constant() == TateTwist(0, 0)
+    assert set(fp.entries.values()) == {TateTwist(0, 0)}
     assert len(fp.tokens()) >= 2
 
 
@@ -59,7 +62,7 @@ def test_generator_of_split_form_is_the_split_twist():
     for n in (2, 3, 6, 7):
         q = real((n + 1) // 2, n // 2)
         fp = generator_e(q, model).fingerprint()
-        assert fp.is_constant() == TateTwist(n // 2, n)
+        assert set(fp.entries.values()) == {TateTwist(n // 2, n)}
 
 
 @given(signatures)
@@ -67,9 +70,10 @@ def test_generator_of_split_form_is_the_split_twist():
 def test_adding_a_hyperbolic_plane_twists_by_one(pm):
     p, m = pm
     model = real_lattice([real(p, m), real(p + 1, m + 1)], depth=2)
-    a = generator_e(real(p, m), model).fingerprint()
-    b = generator_e(real(p + 1, m + 1), model).fingerprint()
-    assert b.constant_difference(a) == TateTwist(1, 2)
+    a = generator_e(real(p, m), model).fingerprint().entries
+    b = generator_e(real(p + 1, m + 1), model).fingerprint().entries
+    assert b.keys() == a.keys()
+    assert {b[t] - a[t] for t in a} == {TateTwist(1, 2)}
 
 
 def test_group_laws():
@@ -116,8 +120,8 @@ def test_pfister_generator_inverts_the_pure_part_mod_tate():
         product = generator_e(pfister_real(r), model) * generator_e(
             real(0, 2**r - 1), model
         )
-        constant = product.fingerprint().is_constant()
-        assert constant == TateTwist(2**r - 1, 2 * (2**r - 1) + 1)
+        values = set(product.fingerprint().entries.values())
+        assert values == {TateTwist(2**r - 1, 2 * (2**r - 1) + 1)}
 
 
 # --------------------------------------------------------------------- det
@@ -167,7 +171,7 @@ def test_pfister_det_identities():
         assert verdict.equal and verdict.exact
         # mod Tate, det is the -2^(r-1) power of the Pfister generator
         mixed = x * generator_e(pfister_real(r), model) ** (2 ** (r - 1))
-        assert mixed.fingerprint().is_constant() is not None
+        assert len(set(mixed.fingerprint().entries.values())) == 1
 
 
 def test_det_class_vector_telescopes_to_the_quadric_classes():
@@ -184,9 +188,10 @@ def test_det_class_vector_telescopes_to_the_quadric_classes():
 def test_fingerprint_tate_part_shifts_every_entry():
     model = rich_lattice()
     x = generator_e(real(2, 1), model)
-    shifted = x * tate_element(model, TateTwist(1, 5))
-    diff = shifted.fingerprint().constant_difference(x.fingerprint())
-    assert diff == TateTwist(1, 5)
+    before = x.fingerprint().entries
+    after = (x * tate_element(model, TateTwist(1, 5))).fingerprint().entries
+    assert after.keys() == before.keys()
+    assert {after[t] - before[t] for t in before} == {TateTwist(1, 5)}
 
 
 # ---------------------------------------------------------- independence
@@ -300,6 +305,53 @@ def test_relations_edge_cases():
     assert not verdict.fingerprint_equal_mod_tate and not verdict.tate_equivalent
 
 
+def two_fingerprint_verdict(x, y):
+    """The relation verdict read off the fingerprints of x and y token by token."""
+    fx, fy = x.fingerprint().entries, y.fingerprint().entries
+    assert fx.keys() == fy.keys()
+    return {fx[t] - fy[t] for t in fx} == {x.closure_value() - y.closure_value()}
+
+
+def test_relations_verdict_matches_the_two_fingerprint_reference():
+    from quadpic.acceptance import _random_quadrics, _tate_shuffle, canonical_quadric_forms
+
+    # seeded det-product pairs drawn as in acceptance criterion 5
+    rng = random.Random(5)
+    model = real_lattice(canonical_quadric_forms(10), depth=1)
+    seen = set()
+    for _ in range(60):
+        lhs = _random_quadrics(rng)
+        rhs = _tate_shuffle(rng, lhs) if rng.random() < 0.5 else _random_quadrics(rng)
+        verdict = relations_check(lhs, rhs, model).fingerprint_equal_mod_tate
+        reference = two_fingerprint_verdict(det_product(lhs, model), det_product(rhs, model))
+        assert verdict == reference, (lhs, rhs)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_only_the_cli_builds_fingerprints():
+    # comparisons sweep a quotient once per oracle group; a fingerprint is
+    # built for output only, and has no algebra to compare with
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name == "PhiFingerprint":
+                offences += [
+                    f"{path.name}:{item.lineno} defines PhiFingerprint.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name in ("__sub__", "is_constant", "constant_difference")
+                ]
+            if (
+                path.name != "cli.py"
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fingerprint"
+            ):
+                offences.append(f"{path.name}:{node.lineno} calls .fingerprint()")
+    assert not offences, offences
+
+
 # ------------------------------------------------------------ equivalence
 
 
@@ -404,6 +456,18 @@ def test_basis_rejects_insufficient_maxr():
     model = rich_lattice()
     with pytest.raises(ModelError):
         basis_real(det(quadric(8, 0), model), maxr=2)
+
+
+def test_basis_round_trip_refuses_a_wrong_expansion(monkeypatch):
+    import quadpic.pic as pic
+
+    # the re-expansion is off by (0)[1] at every group, which the round trip must see
+    honest = pic.tate_element
+    monkeypatch.setattr(pic, "tate_element",
+                        lambda model, twist: honest(model, twist + TateTwist(0, 1)))
+    model = rich_lattice()
+    with pytest.raises(DisagreementError, match="basis expansion fails the fingerprint round-trip"):
+        basis_real(generator_e(real(0, 4), model), maxr=4)
 
 
 @given(st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda pm: sum(pm) >= 2))
