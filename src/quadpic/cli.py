@@ -36,6 +36,7 @@ from .twists import TateTwist, phi_affine
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INVALID = 2
+DEFAULT_DEPTH = 3
 
 
 def _parse_form(literal: str, declared) -> QuadraticForm:
@@ -55,10 +56,22 @@ def _parse_form_list(text: str, declared) -> list[QuadraticForm]:
     return [_parse_form(p, declared) for p in parts]
 
 
-def _read_model(path: str):
-    """The declared lattice in a model file, not yet validated."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return declared_lattice_from_data(parse_model(handle.read()), check=False)
+def _read_model(args):
+    """The declared lattice named by --model and its validation report; the
+    --decomps, if any, are declared on a lattice that validates."""
+    with open(args.model, "r", encoding="utf-8") as handle:
+        model = declared_lattice_from_data(parse_model(handle.read()), check=False)
+    report = model.validate()
+    if report.ok and args.decomps is not None:
+        with open(args.decomps, "r", encoding="utf-8") as handle:
+            table = json.loads(handle.read())
+        if not isinstance(table, dict):
+            raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
+        for form_id in sorted(table):
+            data = check_json(table[form_id], f"decomps[{json.dumps(form_id)}]",
+                              DECOMPOSITION_SHAPE)
+            declare_decomposition(model.form(form_id), data, model)
+    return model, report
 
 
 def _load_declared(args):
@@ -68,32 +81,34 @@ def _load_declared(args):
     the number of violations and the first of them.
     """
     if args.model is None:
-        if args.decomps is not None:
-            raise ModelError("--decomps needs --model")
         return None
-    model = _read_model(args.model)
-    violations = model.validate().violations
+    model, report = _read_model(args)
+    violations = report.violations
     if violations:
         count = f"{len(violations)} violation{'s' if len(violations) != 1 else ''}"
         raise ModelError(
             f"declared model rejected: {count}; first: {violations[0].render()}"
         )
-    if args.decomps is not None:
-        with open(args.decomps, "r", encoding="utf-8") as handle:
-            table = json.loads(handle.read())
-        if not isinstance(table, dict):
-            raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
-        for form_id in sorted(table):
-            data = check_json(table[form_id], f"decomps[{json.dumps(form_id)}]",
-                              DECOMPOSITION_SHAPE)
-            declare_decomposition(model.form(form_id), data, model)
     return model
 
 
 def _lattice_for(args, declared, forms):
     if declared is not None:
         return declared
-    return real_lattice(forms, depth=args.lattice_depth)
+    return real_lattice(forms, DEFAULT_DEPTH if args.lattice_depth is None else args.lattice_depth)
+
+
+def _refuse_unread_options(args) -> None:
+    """Every command follows one rule: an option that it would not read is refused."""
+    if args.model is None:
+        if args.decomps is not None:
+            raise ModelError("--decomps needs --model")
+    elif args.command == "basis":
+        raise ModelError("the Pfister basis exists over the real backend")
+    elif args.lattice_depth is not None:
+        raise ModelError("--lattice-depth does not apply with --model")
+    elif args.command == "validate" and args.forms is not None:
+        raise ModelError("validate --forms does not apply with --model")
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -270,8 +285,6 @@ def _parse_expression(text: str) -> list[tuple[str, object, int]]:
 
 
 def _cmd_basis(args) -> int:
-    if args.model is not None:
-        raise ModelError("the Pfister basis exists over the real backend")
     factors = _parse_expression(args.expr)
     model = _lattice_for(args, None, [value for gen, value, _ in factors if gen != "T"])
     element = identity(model)
@@ -288,11 +301,10 @@ def _cmd_basis(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.model is not None:
-        model = _read_model(args.model)
+        report = _read_model(args)[1]
     else:
         forms = _parse_form_list(args.forms, None) if args.forms else []
-        model = real_lattice(forms, depth=args.lattice_depth)
-    report = model.validate()
+        report = _lattice_for(args, None, forms).validate()
     payload = {"command": "validate", **report.to_json()}
     _emit(args, payload, report.render())
     return EXIT_OK if report.ok else EXIT_FALSE
@@ -320,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         "reduced motives of affine quadrics.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
-    parser.add_argument("--lattice-depth", type=_depth, default=3,
-                        help="generic-splitting tower depth for the real backend")
+    parser.add_argument("--lattice-depth", type=_depth, default=None,
+                        help="generic-splitting tower depth for the real backend "
+                        f"(default {DEFAULT_DEPTH})")
     parser.add_argument("--model", default=None,
                         help="declared model file (JSON)")
     parser.add_argument("--decomps", default=None,
@@ -388,6 +401,7 @@ def main(argv=None) -> int:
         if isinstance(value, list):
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
+        _refuse_unread_options(args)
         return args.handler(args)
     except (QuadPicError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ and the derived extensions:
 * DeclaredLattice -- Witt indices come from an explicit table; extensions
   must pre-exist, so it builds no splitting towers.  Tables are checked by
   validate() against four invariant families (monotonicity, ceiling,
-  codimension-1 step, self-isotropy).
+  codimension-1 step, self-isotropy), each checked once per Witt row id,
+  row-id pair or token; tokens are walked only where a check fails.
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
 memo (witt_index, phi_affine, phi_det, active_index) of a lattice that
@@ -37,6 +38,7 @@ keeps its registries there too.  No memo key names a token.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -81,6 +83,7 @@ class Construction:
     parts: tuple[str, ...] = ()  # join: the constituent tokens
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_construction(text: str) -> Construction:
     """Parse any construction string; a non-integer gff plane count is a ModelError."""
     kind, sep, body = text.partition(":")
@@ -267,15 +270,21 @@ class ExtensionLattice:
     # ---------------------------------------------------------- validation
 
     def validate(self) -> ValidationReport:
-        """Check the four invariant families at every (form, extension)."""
+        """Check the four invariant families at every (form, extension).
+
+        Tokens with equal Witt rows share one row id.  Ceiling and the codim-1
+        step are checked once per row id, monotonicity once per (ancestor id,
+        token id) pair, and self-isotropy once per token, whose construction
+        names its cell; only a failed check walks the tokens, in report order.
+        """
         report = ValidationReport()
         keys = self.form_keys()
         forms = [self._forms[k] for k in keys]
         column = {k: i for i, k in enumerate(keys)}
         tokens = self.extension_tokens()
 
-        # one row per token: its Witt indices in form-key order, evaluated at
-        # the first token of its oracle group and shared by the whole group
+        # the Witt row of each oracle group, in form-key order, evaluated at
+        # the group's first token
         groups = {group[0]: group for group in self.token_groups()}
         firsts = [tok for tok in tokens if tok in groups]
         cells: dict[str, list[int]] = {tok: [] for tok in firsts}
@@ -287,82 +296,61 @@ class ExtensionLattice:
                     report.violations.append(Violation("table", q.key, tok, str(exc)))
         if not report.ok:
             return report
-        rows: dict[str, tuple[int, ...]] = {}
+        # intern the rows: tokens whose rows are equal share one row id
+        row_ids: dict[tuple[int, ...], int] = {}
+        row_of: dict[str, int] = {}
         for first, group in groups.items():
-            row = tuple(cells[first])
-            rows.update((tok, row) for tok in group)
-        distinct = {rows[first] for first in groups}
+            row_id = row_ids.setdefault(tuple(cells[first]), len(row_ids))
+            row_of.update(dict.fromkeys(group, row_id))
+        table = list(row_ids)
+        by_token = [(row_of[tok], tok) for tok in tokens]
 
-        # ceiling and codim-1 step read one row per cell: check each distinct
-        # row once, and walk the tokens only for a form that fails in one
+        def check(family, subjects, failures, walk, violation):
+            """Run failures once per (key, subject); only where something fails, walk the
+            (key, token, *labels) items, naming violation(found, *labels) at the token."""
+            failed = {key: found for key, subject in subjects if (found := failures(subject))}
+            for key, tok, *labels in walk if failed else ():
+                for found in failed.get(key, ()):
+                    form, detail = violation(found, *labels)
+                    report.violations.append(Violation(family, form, tok, detail))
+
         for i, q in enumerate(forms):
-            ceiling = q.dim // 2
-            if all(0 <= row[i] <= ceiling for row in distinct):
-                continue
-            for tok in tokens:
-                value = rows[tok][i]
-                if value < 0 or value > ceiling:
-                    report.violations.append(
-                        Violation(
-                            "ceiling", q.key, tok,
-                            f"i_W = {value} outside [0, {ceiling}]",
-                        )
-                    )
+            top = q.dim // 2
+            check("ceiling", enumerate(table),
+                  lambda row: [] if 0 <= row[i] <= top else [f"i_W = {row[i]} outside [0, {top}]"],
+                  by_token, lambda detail: (q.key, detail))
 
-        for tok in tokens:
-            row = rows[tok]
-            for anc in sorted(self.ancestors(tok)):
-                below = rows[anc]
-                if below == row:
-                    continue
-                for key, lo, hi in zip(keys, below, row):
-                    if lo > hi:
-                        report.violations.append(
-                            Violation(
-                                "monotonicity", key, tok,
-                                f"i_W drops from {lo} at {anc} to {hi}",
-                            )
-                        )
+        pairs = {(row_of[anc], row_of[tok]) for tok in tokens for anc in self.ancestors(tok)}
+        check("monotonicity", [((a, b), (table[a], table[b])) for a, b in pairs],
+              lambda two: [(key, lo, hi) for key, lo, hi in zip(keys, *two) if lo > hi],
+              (((row_of[anc], row_of[tok]), tok, anc)
+               for tok in tokens for anc in sorted(self.ancestors(tok))),
+              lambda drop, anc: (drop[0], f"i_W drops from {drop[1]} at {anc} to {drop[2]}"))
 
         for i, q in enumerate(forms):
             q_prime = self._registered_prime(q)
             if q_prime is None:
                 continue
             j = column[q_prime.key]
-            if all(row[i] <= row[j] <= row[i] + 1 for row in distinct):
-                continue
-            for tok in tokens:
-                low, high = rows[tok][i], rows[tok][j]
-                if not (low <= high <= low + 1):
-                    report.violations.append(
-                        Violation(
-                            "codim-1-step", q.key, tok,
-                            f"i_W({q.key}) = {low} vs i_W({q_prime.key}) = {high}",
-                        )
-                    )
+            check("codim-1-step", enumerate(table),
+                  lambda row: [] if row[i] <= row[j] <= row[i] + 1 else
+                  [f"i_W({q.key}) = {row[i]} vs i_W({q_prime.key}) = {row[j]}"],
+                  by_token, lambda detail: (q.key, detail))
 
-        for tok in tokens:
-            construction = parse_construction(self._extensions[tok].construction)
-            if construction.kind not in ("ff", "gff"):
-                continue
-            form_key, planes = construction.form, construction.planes
+        def own_cell(tok):
+            own = parse_construction(self._extensions[tok].construction)
+            if own.kind not in ("ff", "gff"):
+                return []
             try:
-                form = self.form(form_key)
+                form = self.form(own.form)
                 value = self.witt_index(form, tok)
             except ModelError as exc:
-                report.violations.append(
-                    Violation("self-isotropy", form_key, tok, f"unresolvable: {exc}")
-                )
-                continue
-            if form.dim < 2:
-                continue
-            if value <= planes:
-                report.violations.append(
-                    Violation(
-                        "self-isotropy", form.key, tok,
-                        f"i_W = {value} over its own function field (need > {planes})",
-                    )
-                )
+                return [(own.form, f"unresolvable: {exc}")]
+            if form.dim < 2 or value > own.planes:
+                return []
+            return [(form.key, f"i_W = {value} over its own function field (need > {own.planes})")]
+
+        check("self-isotropy", zip(tokens, tokens), own_cell, zip(tokens, tokens), lambda x: x)
         return report
 
 

@@ -84,9 +84,6 @@ class PicElement:
             self.model, k * self.tate, {a: k * c for a, c in self.word}
         )
 
-    def inverse(self) -> "PicElement":
-        return self**-1
-
     # -------------------------------------------------------------- values
 
     def _atom_value(self, atom: Atom, token: str) -> TateTwist:

@@ -10,7 +10,7 @@ import quadpic
 
 from quadpic import generator_e, lattice_to_data, real_lattice, serialize_model
 from quadpic.cli import main
-from quadpic.decomp import Decomposition
+from quadpic.decomp import Decomposition, decompose_real
 from quadpic.forms import QuadraticForm
 from quadpic.twists import TateTwist
 
@@ -268,6 +268,60 @@ def test_declared_decompositions_via_decomps_file(tmp_path, capsys):
     code, _, err = run(capsys, "--decomps", str(decomps_file), "relations",
                        "--lhs", "(3,1)", "--rhs", "(2,0)")
     assert code == 2 and "--model" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--decomps", "{missing}", "validate"], "--decomps needs --model"),
+        (["--decomps", "{missing}", "validate", "--forms", "(3,0)"], "--decomps needs --model"),
+        (["--decomps", "{missing}", "basis", "--expr", "det (4,0)", "--maxr", "2"],
+         "--decomps needs --model"),
+        (["--decomps", "{missing}", "e", "--form", "(3,0)"], "--decomps needs --model"),
+        (["--model", "{model}", "basis", "--expr", "det (4,0)", "--maxr", "2"],
+         "the Pfister basis exists over the real backend"),
+        (["--model", "{model}", "validate", "--forms", "(9,9)"],
+         "validate --forms does not apply with --model"),
+        (["--model", "{model}", "--lattice-depth", "2", "validate"],
+         "--lattice-depth does not apply with --model"),
+        (["--model", "{model}", "--lattice-depth", "3", "e", "--form", "(3,0)"],
+         "--lattice-depth does not apply with --model"),
+    ],
+    ids=["decomps-validate", "decomps-validate-forms", "decomps-basis", "decomps-e",
+         "model-basis", "model-validate-forms", "model-depth-validate", "model-depth-e"],
+)
+def test_an_option_the_command_would_not_read_exits_two(tmp_path, capsys, argv, message):
+    model = tmp_path / "model.json"
+    model.write_text(serialize_model(lattice_to_data(real_lattice([real(3, 0)], depth=1))),
+                     encoding="utf-8")
+    places = {"{missing}": str(tmp_path / "missing.json"), "{model}": str(model)}
+    argv = [places.get(arg, arg) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_validate_declares_the_decomps_of_a_table_that_validates(tmp_path, capsys):
+    data = lattice_to_data(real_lattice([real(3, 1)], depth=1))
+    model = tmp_path / "model.json"
+    model.write_text(serialize_model(data), encoding="utf-8")
+    decomps = tmp_path / "decomps.json"
+    decomps.write_text(json.dumps({"(3,1)": 5}), encoding="utf-8")
+    message = 'error: decomps["(3,1)"] must be an object\n'
+    for command in (["validate"], ["e", "--form", "(3,1)"]):
+        assert run(capsys, "--model", str(model), "--decomps", str(decomps), *command) == (
+            2, "", message)
+    q = real(3, 1)
+    table = {q.key: decompose_real(q, real_lattice([q], depth=1)).to_json()}
+    decomps.write_text(json.dumps(table), encoding="utf-8")
+    assert run(capsys, "--model", str(model), "--decomps", str(decomps), "validate") == (
+        0, "ok\n", "")
+    # a table that fails validation is reported, and its decomps are not read
+    for entry in data["witt"]:
+        if entry["form"] == "(3,1)" and entry["extension"] == "base":
+            entry["index"] = 9
+    model.write_text(serialize_model(data), encoding="utf-8")
+    code, out, err = run(capsys, "--model", str(model), "--decomps",
+                         str(tmp_path / "missing.json"), "validate")
+    assert (code, err) == (1, "") and out.startswith("[ceiling] form (3,1) at base:")
 
 
 def test_malformed_inputs_exit_two(tmp_path, capsys):

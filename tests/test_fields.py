@@ -319,6 +319,27 @@ def _reference_violations(model):
             if not low <= high <= low + 1:
                 out.append(("codim-1-step", q.key, t,
                             f"i_W({q.key}) = {low} vs i_W({p.key}) = {high}"))
+    for t in tokens:
+        own = fields.parse_construction(model.extension(t).construction)
+        if own.kind not in ("ff", "gff"):
+            continue
+        try:
+            q = model.form(own.form)
+            value = model.witt_index(q, t)
+        except ModelError as exc:
+            out.append(("self-isotropy", own.form, t, f"unresolvable: {exc}"))
+            continue
+        if q.dim >= 2 and value <= own.planes:
+            out.append(("self-isotropy", q.key, t,
+                        f"i_W = {value} over its own function field (need > {own.planes})"))
+    return out
+
+
+def _with_extension(data, token, parent, construction):
+    """data plus one extension, whose Witt row copies its parent's."""
+    out = copy.deepcopy(data)
+    out["extensions"].append({"id": token, "parent": parent, "construction": construction})
+    out["witt"] += [{**e, "extension": token} for e in data["witt"] if e["extension"] == parent]
     return out
 
 
@@ -332,15 +353,33 @@ def test_validate_matches_the_cell_by_cell_reference_on_corrupted_tables():
         [("(3,0)", t, 0) for t in deeper] + [("(2,1)", "base", 2), ("(1,3)", "base", 2)],
         [(e["form"], e["extension"], 0) for e in data["witt"] if e["extension"] == "base"]
         + [("(2,2)", "base", 3)],
+        # self-isotropy: each node split by its own quadric loses that point
+        [("(3,0)", "base/(3,0)", 0), ("(2,0)", "base/(2,0)", 0)],
+        [("(2,0)", t, 0) for t in ("base/(2,0)", "base/(3,0)/(2,0)")] + [("(2,1)", "base", 2)],
     ]
-    for edits in corruptions:
-        bad = parse_model(serialize_model(data))
+    cases = [(data, edits) for edits in corruptions]
+    # constructions that name an unknown form, or that need more than one plane
+    for construction in ("ff:zz", "gff:zz:1", "gff:(3,0):1", "gff:(2,2):2", "gff:(1,3):1"):
+        cases.append((_with_extension(data, "X", "base/(3,0)", construction), []))
+    cases.append((_with_extension(data, "X", "base", "ff:zz"), [("(3,0)", "X", 2)]))
+    # many tokens share each row: corrupt a token whose row others use, and
+    # several tokens of one row alike, so that they share the corrupted row
+    shared = lattice_to_data(real_lattice(real_forms(6), 2))
+    level_two = ["base/(2,0)", "base/(3,0)/(2,0)", "base/(4,0)/(2,0)", "base/(7,0)/(2,0)"]
+    cases += [
+        (shared, [("(4,0)", "base/(4,0)", 0)]),
+        (shared, [("(5,0)", "base/(5,0)/(4,0)", 3), ("(1,1)", "base/(6,0)", 0)]),
+        (shared, [("(5,0)", t, 0) for t in level_two]),
+        (shared, [("(3,3)", t, 1) for t in level_two] + [("(6,0)", "base", 4)]),
+    ]
+    for source, edits in cases:
+        bad = parse_model(serialize_model(source))
         for form, ext, value in edits:
             _set_index(bad, form, ext, value)
         model = declared_lattice_from_data(bad, check=False)
         got = [(v.family, v.form, v.extension, v.detail) for v in model.validate()]
         assert got, edits
-        assert [v for v in got if v[0] != "self-isotropy"] == _reference_violations(model)
+        assert got == _reference_violations(model)
 
 
 def test_witt_memo_hit_still_refuses_the_other_backends_forms():

@@ -80,8 +80,8 @@ def test_group_laws():
     model = rich_lattice()
     a = generator_e(real(2, 1), model)
     b = generator_e(real(1, 1), model)
-    assert (a * a.inverse()).equality(identity(model)).equal
-    assert a.inverse().word == (((("e", "(2,1)")), -1),)
+    assert (a * a**-1).equality(identity(model)).equal
+    assert (a**-1).word == (((("e", "(2,1)")), -1),)
     assert (a * b).fingerprint() == (b * a).fingerprint()
     squared = {t: 2 * v for t, v in (a * b).fingerprint().entries.items()}
     assert ((a * b) ** 2).fingerprint().entries == squared
@@ -91,11 +91,11 @@ def test_group_laws():
 
 def test_free_abelian_no_torsion_on_representations():
     model = rich_lattice()
-    x = generator_e(real(0, 3), model) * generator_e(real(0, 2), model).inverse()
+    x = generator_e(real(0, 3), model) * generator_e(real(0, 2), model) ** -1
     for k in (2, 3, 5):
         power = x**k
         assert not power.equality(identity(model)).equal
-    assert (x * x.inverse()).equality(identity(model)).equal
+    assert (x * x**-1).equality(identity(model)).equal
 
 
 # ------------------------------------------------------------ inverse law
