@@ -64,7 +64,7 @@ def _read_model(args):
     report = model.validate()
     if report.ok and args.decomps is not None:
         with open(args.decomps, "r", encoding="utf-8") as handle:
-            table = json.loads(handle.read())
+            table = parse_model(handle.read())
         if not isinstance(table, dict):
             raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
         for form_id in sorted(table):

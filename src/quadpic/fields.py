@@ -42,6 +42,7 @@ import functools
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ModelError
 from .forms import (
@@ -635,10 +636,13 @@ _TYPE_NAMES = {str: "a string", int: "an integer"}
 
 
 def check_json(value, path: str, shape):
-    """value, checked against shape; an error names the path of the offending value.
+    """value, checked against shape; an error names the path of the first offending value.
 
-    A shape is str, int, [shape] for a list, or a tuple of (key, shape,
-    required) triples for an object.  A null field counts as absent.
+    An object shape is a tuple of (key, field, required) triples, where a
+    field is str, int, an object shape or [object shape] for a list of
+    objects; shape itself is an object shape or a list of one.  A null field
+    counts as absent.  A list of objects is checked in one pass over its
+    entries, with a recursive call only for a nested object or list field.
     """
     problem = _misfit(value, shape)
     if problem is not None:
@@ -649,31 +653,36 @@ def check_json(value, path: str, shape):
 
 def _misfit(value, shape) -> tuple[str, str] | None:
     """(path suffix, complaint) for the first value that does not fit shape, or None."""
-    if isinstance(shape, list):
-        if not isinstance(value, list):
-            return "", "must be a list"
-        for i, item in enumerate(value):
-            problem = _misfit(item, shape[0])
-            if problem is not None:
-                return f"[{i}]{problem[0]}", problem[1]
-    elif isinstance(shape, tuple):
-        if not isinstance(value, dict):
-            return "", "must be an object"
-        for key, field_shape, required in shape:
-            item = value.get(key)
+    if isinstance(shape, tuple):
+        problem = _entries_misfit((value,), shape)
+        return None if problem is None else problem[1:]
+    if not isinstance(value, list):
+        return "", "must be a list"
+    problem = _entries_misfit(value, shape[0])
+    return None if problem is None else (f"[{problem[0]}]{problem[1]}", problem[2])
+
+
+def _entries_misfit(entries, fields) -> tuple[int, str, str] | None:
+    """(index, path suffix, complaint) for the first entry that does not fit
+    the object shape fields, or None."""
+    for i, entry in enumerate(entries):
+        if type(entry) is not dict and not isinstance(entry, dict):
+            return i, "", "must be an object"
+        for key, field, required in fields:
+            item = entry.get(key)
+            if type(item) is field:
+                continue
             if item is None:
-                if required:
-                    return f".{key}", "missing"
-            elif field_shape is str or field_shape is int:
-                # a leaf, checked here to spare a call per field
-                if not isinstance(item, field_shape) or isinstance(item, bool):
-                    return f".{key}", f"must be {_TYPE_NAMES[field_shape]}"
-            else:
-                problem = _misfit(item, field_shape)
-                if problem is not None:
-                    return f".{key}{problem[0]}", problem[1]
-    elif not isinstance(value, shape) or isinstance(value, bool):
-        return "", f"must be {_TYPE_NAMES[shape]}"
+                if not required:
+                    continue
+                return i, f".{key}", "missing"
+            if field is str or field is int:
+                if isinstance(item, field) and not isinstance(item, bool):
+                    continue
+                return i, f".{key}", f"must be {_TYPE_NAMES[field]}"
+            problem = _misfit(item, field)
+            if problem is not None:
+                return i, f".{key}{problem[0]}", problem[1]
     return None
 
 
@@ -801,9 +810,51 @@ def lattice_to_data(model: ExtensionLattice) -> dict:
     return {"forms": forms, "extensions": extensions, "witt": witt}
 
 
+# A model section, a list of non-empty flat objects, is encoded by the C
+# encoder in one call, and the joins "},\n      {" between its entries are
+# rewritten into the indented layout.  No encoded string holds a raw newline,
+# so that sequence occurs nowhere else.
+_SECTION_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _model_shaped(data) -> bool:
+    """Whether data is a non-empty object of non-empty lists of non-empty
+    objects whose values are all leaves."""
+    return type(data) is dict and bool(data) and all(
+        type(key) is str and type(section) is list and bool(section)
+        and set(map(type, section)) <= {dict} and all(section)
+        and set(map(type, chain.from_iterable(map(dict.values, section)))) <= _LEAF_TYPES
+        for key, section in data.items()
+    )
+
+
 def serialize_model(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The model file text of data: json.dumps(data, sort_keys=True, indent=2)
+    plus a newline, byte for byte, for every input.
+
+    Model-shaped data (see _model_shaped) is encoded one section at a time by
+    the C encoder; anything else goes through json.dumps itself.
+    """
+    if not _model_shaped(data):
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    encode = _SECTION_ENCODER.encode
+    sections = (
+        f"  {encode(key)}: [\n    {{\n      "
+        + encode(data[key])[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        + "\n    }\n  ]"
+        for key in sorted(data)
+    )
+    return "{\n" + ",\n".join(sections) + "\n}\n"
 
 
-def parse_model(text: str) -> dict:
-    return json.loads(text)
+def parse_model(text: str):
+    """The JSON value of a model or --decomps file.
+
+    JSON nested deeper than the parser's recursion limit is refused with
+    a ModelError, as any other malformed input is.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ModelError("JSON nests deeper than the parser allows") from None

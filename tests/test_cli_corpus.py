@@ -28,6 +28,7 @@ from quadpic.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "cli_corpus"
 REQUESTS = CORPUS / "requests.jsonl"
+DEEP = 1100
 
 TWINS = {
     "forms": [
@@ -67,6 +68,9 @@ def write_files(directory: Path) -> None:
     for fixture in ("models", "decomps"):
         stored = json.loads((CORPUS / f"{fixture}.json").read_text(encoding="utf-8"))
         files.update((name, json.dumps(data)) for name, data in stored.items())
+    # nested past the JSON parser's recursion limit, so written as text
+    files["deep-model"] = '{"forms": ' + "[" * DEEP + "]" * DEEP + "}"
+    files["deep-decomps"] = '{"c1": ' + "[" * DEEP + "]" * DEEP + "}"
     for name, text in files.items():
         (directory / f"{name}.json").write_text(text, encoding="utf-8")
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -582,6 +583,145 @@ def test_check_json_matches_the_recursive_reference(data):
     assert got == [_outcome(_reference_check_json, *args) for args in checks]
     if place is None:
         assert got == [None] * len(checks)
+
+
+# check_json's _misfit before the one-pass rewrite, kept verbatim as the
+# reference for its error texts
+def _misfit(value, shape) -> tuple[str, str] | None:
+    """(path suffix, complaint) for the first value that does not fit shape, or None."""
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            return "", "must be a list"
+        for i, item in enumerate(value):
+            problem = _misfit(item, shape[0])
+            if problem is not None:
+                return f"[{i}]{problem[0]}", problem[1]
+    elif isinstance(shape, tuple):
+        if not isinstance(value, dict):
+            return "", "must be an object"
+        for key, field_shape, required in shape:
+            item = value.get(key)
+            if item is None:
+                if required:
+                    return f".{key}", "missing"
+            elif field_shape is str or field_shape is int:
+                # a leaf, checked here to spare a call per field
+                if not isinstance(item, field_shape) or isinstance(item, bool):
+                    return f".{key}", f"must be {_TYPE_NAMES[field_shape]}"
+            else:
+                problem = _misfit(item, field_shape)
+                if problem is not None:
+                    return f".{key}{problem[0]}", problem[1]
+    elif not isinstance(value, shape) or isinstance(value, bool):
+        return "", f"must be {_TYPE_NAMES[shape]}"
+    return None
+
+
+def _misfit_check_json(value, path, shape):
+    problem = _misfit(value, shape)
+    if problem is not None:
+        raise ModelError(f"{path}{problem[0]} {problem[1]}")
+    return value
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def test_check_json_gives_the_old_errors_for_each_damaged_field():
+    # every field, entry and section, dropped or replaced by null, a value of
+    # the wrong type, true, a non-object entry or a non-list section
+    damages = [_DROP, None, True, 1, "s", {}, [], [1]]
+    subjects = [(declared_fixture(), list(_SCHEMA.items())),
+                ({"a": _DECOMPOSITION}, [("a", DECOMPOSITION_SHAPE)])]
+    checked = 0
+    for top, sections in subjects:
+        for place in _places(top):
+            for damage in damages:
+                value = copy.deepcopy(top)
+                *outer, last = place
+                holder = value
+                for key in outer:
+                    holder = holder[key]
+                if damage is _DROP:
+                    del holder[last]
+                else:
+                    holder[last] = copy.deepcopy(damage)
+                for name, shape in sections:
+                    args = (value.get(name, []), name, shape)
+                    got = _outcome(check_json, *args)
+                    assert got == _outcome(_misfit_check_json, *args)
+                    checked += got is not None
+    assert checked > 500
+
+
+def test_check_json_passes_valid_input_unchanged():
+    model = declared_fixture()
+    model["forms"][0]["dim"] = _Int(model["forms"][0]["dim"])
+    model["witt"][-1]["index"] = _Int(2)
+    model["extensions"][0]["id"] = _Str(model["extensions"][0]["id"])
+    model["forms"].append(json.loads('{"id": "x", "dim": 3, "prime": null, "other": [1]}'))
+    for top, sections in [(model, list(_SCHEMA.items())),
+                          ({"a": _DECOMPOSITION, "b": {}, "c": {"tates": None}},
+                           [(k, DECOMPOSITION_SHAPE) for k in "abc"])]:
+        for name, shape in sections:
+            before = copy.deepcopy(top[name])
+            assert check_json(top[name], name, shape) is top[name]
+            assert _misfit(top[name], shape) is None
+            assert top[name] == before
+
+
+def _serializer_inputs():
+    for n in range(1, 11):
+        for depth in range(4):
+            yield lattice_to_data(real_lattice(real_forms(n), depth=depth))
+    corpus = Path(__file__).resolve().parent / "cli_corpus"
+    for fixture in ("models", "decomps"):
+        yield from json.loads((corpus / f"{fixture}.json").read_text(encoding="utf-8")).values()
+    # one corrupted Witt index per invariant family
+    for form, ext, value in [("(3,0)", "base/(3,0)/(2,0)", 0), ("(2,1)", "base", 2),
+                             ("(1,3)", "base", 2), ("(3,0)", "base/(3,0)", 0)]:
+        data = declared_fixture()
+        _set_index(data, form, ext, value)
+        yield data
+    awkward = ["é", "ü\u2603", 'a"b', "a\\b", "a\nb", "},\n      {", "\u0000\t", ""]
+    yield {
+        "forms": [{"id": key, "dim": 3} for key in awkward],
+        "extensions": [{"id": key, "construction": "base", key: key} for key in awkward],
+        "é \"\\\n": [{"x": 1}],
+    }
+    yield from [
+        {}, {"forms": []}, {"forms": [], "witt": []}, {"forms": [{}]}, {"forms": [{"id": "a"}, {}]},
+        {"forms": [{"id": [1, {"a": None}]}]}, {"forms": [{"id": {"b": 2, "a": 1}}]},
+        {"forms": [{"a": True, "b": False, "c": None, "d": 1.5, "e": -0.0, "f": 1e300}]},
+        {"forms": [{"a": float("nan"), "b": float("inf")}]}, {"forms": [{"a": _Int(3)}]},
+        {"forms": [{2: "x", 1: "y"}, {2.5: "y", 0.5: "z"}]}, {"forms": {"id": "a"}}, {"forms": "x"},
+        {"forms": [[{"id": "a"}]]}, {"forms": [{"id": "a"}, 1]}, {"b": [], "a": [{"z": 0}]},
+        [], [{"id": "a"}], "text", 3, None, True,
+    ]
+
+
+def test_serialize_model_is_json_dumps_with_sorted_keys_and_indent_two():
+    for data in _serializer_inputs():
+        assert serialize_model(data) == json.dumps(data, sort_keys=True, indent=2) + "\n", data
+
+
+def test_deeply_nested_json_is_a_model_error():
+    for depth in (900, 1100):
+        text = '{"forms": ' + "[" * depth + "]" * depth + "}"
+        try:
+            data = parse_model(text)
+        except ModelError as exc:
+            assert str(exc) == "JSON nests deeper than the parser allows"
+        else:
+            with pytest.raises(ModelError, match=r"^forms\[0\] must be an object$"):
+                declared_lattice_from_data(data)
+    with pytest.raises(ModelError, match="deeper than the parser allows"):
+        parse_model("[" * 100000 + "]" * 100000)
 
 
 def test_declared_extensions_must_preexist():
