@@ -160,7 +160,11 @@ def _excellent_blocks(model, dim: int, shift: int) -> list[Summand]:
     while dim >= 2:
         r = (dim - 1).bit_length()
         first_witt = dim - (1 << (r - 1))
-        cls = canonical_class(model, ClassKey(ProjectiveQuadric(pfister_real(r)).key, 0))
+        # the class quadric joins the lattice's forms, so a snapshot of the
+        # lattice can declare this decomposition back
+        pfister = pfister_real(r)
+        model.register_form(pfister, with_prime=False)
+        cls = canonical_class(model, ClassKey(ProjectiveQuadric(pfister).key, 0))
         for i in range(first_witt):
             out.append(Summand(cls, shift + i, f"{ROST}:{r}"))
         shift += first_witt

@@ -100,20 +100,24 @@ class PicElement:
         return split_quadric_sum(n - 2, n // 2)
 
     def value_at(self, token: str) -> TateTwist:
-        total = self.tate
+        x, y = self.tate
         for atom, coeff in self.word:
-            total = total + coeff * self._atom_value(atom, token)
-        return total
+            ax, ay = self._atom_value(atom, token)
+            x += coeff * ax
+            y += coeff * ay
+        return TateTwist(x, y)
 
     def base_value(self) -> TateTwist:
         return self.value_at(self.model.base)
 
     def closure_value(self) -> TateTwist:
         """Formal twist value over the algebraic closure (all forms split)."""
-        total = self.tate
+        x, y = self.tate
         for atom, coeff in self.word:
-            total = total + coeff * self._atom_closure(atom)
-        return total
+            ax, ay = self._atom_closure(atom)
+            x += coeff * ax
+            y += coeff * ay
+        return TateTwist(x, y)
 
     def fingerprint(self) -> PhiFingerprint:
         return PhiFingerprint({t: value for group, value in _sweep(self) for t in group})

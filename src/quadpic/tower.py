@@ -16,6 +16,7 @@ routes compares two separate computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ModelError
 from .forms import Grassmannian, ProjectiveQuadric, QuadraticForm, prime
@@ -84,8 +85,13 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
     return active
 
 
+@lru_cache(maxsize=None)
 def twist_readoff(i: int, n: int, nprime: int) -> TateTwist:
-    """Twist of e^q from the active index i, with n = dim(q), nprime = dim(Q')."""
+    """Twist of e^q from the active index i, with n = dim(q), nprime = dim(Q').
+
+    Answers come from a table keyed by (i, n, nprime).  A refused index is
+    never stored, so its ValueError is raised again on every call.
+    """
     if not 0 <= i <= n:
         raise ValueError(f"active index {i} outside [0, {n}]")
     if i % 2 == 0:

@@ -2,48 +2,78 @@
 
 Twists (x)[y] form the rank-2 free abelian group Z^2; all arithmetic is
 exact integers (the target group is torsion free, so no reduction ever
-happens).  The evaluators below compute, from Witt indices alone, the
-twist value of the affine-quadric generator e^q and of det(Q) at an
-extension of the lattice.  They memoize their values in the lattice's
-memos["twists"], one entry per (form, oracle group), so every token of a
-group shares one evaluation.  The memo holds values only; an extension or
-form that the oracle refuses is refused again on every call.
+happens).  A twist is an immutable pair of ints (a NamedTuple), so building,
+comparing, hashing and ordering one are C tuple operations; only its group
+law, rendering and JSON run Python code.  The evaluators below compute, from Witt
+indices alone, the twist value of the affine-quadric generator e^q and of
+det(Q) at an extension of the lattice.  They memoize their values in the
+lattice's memos["twists"], one entry per (form, oracle group), so every
+token of a group shares one evaluation.  The memo holds values only; an
+extension or form that the oracle refuses is refused again on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .forms import ProjectiveQuadric, QuadraticForm
 
+_new = tuple.__new__
 
-@dataclass(frozen=True, order=True)
-class TateTwist:
+
+def _not_a_twist(other) -> TypeError:
+    return TypeError(f"a Tate twist combines only with a Tate twist, not {type(other).__name__}")
+
+
+class TateTwist(NamedTuple):
+    """The twist (x)[y], an immutable pair of ints.
+
+    Equality, hashing and ordering are those of the pair (x, y), so a twist
+    equals the plain tuple with the same entries: TateTwist(1, 2) == (1, 2)
+    and both hash alike.  Arithmetic is the group law of Z^2, never the
+    sequence operations of tuple: adding anything but a twist raises
+    TypeError, and a twist scales by an int from either side.  bool(t) is
+    false only for (0)[0].
+    """
+
     x: int = 0
     y: int = 0
 
     def __add__(self, other: "TateTwist") -> "TateTwist":
-        return TateTwist(self.x + other.x, self.y + other.y)
+        if type(other) is not TateTwist:
+            raise _not_a_twist(other)
+        return _new(TateTwist, (self[0] + other[0], self[1] + other[1]))
+
+    def __radd__(self, other):
+        # without it, tuple + twist would concatenate
+        raise _not_a_twist(other)
 
     def __sub__(self, other: "TateTwist") -> "TateTwist":
-        return TateTwist(self.x - other.x, self.y - other.y)
+        if type(other) is not TateTwist:
+            raise _not_a_twist(other)
+        return _new(TateTwist, (self[0] - other[0], self[1] - other[1]))
 
     def __neg__(self) -> "TateTwist":
-        return TateTwist(-self.x, -self.y)
+        return _new(TateTwist, (-self[0], -self[1]))
 
     def __rmul__(self, scalar: int) -> "TateTwist":
-        return TateTwist(scalar * self.x, scalar * self.y)
+        # also serves twist * k, which tuple would otherwise repeat
+        if not isinstance(scalar, int):
+            raise TypeError(f"a Tate twist scales only by an int, not {type(scalar).__name__}")
+        return _new(TateTwist, (scalar * self[0], scalar * self[1]))
+
+    __mul__ = __rmul__
 
     def __bool__(self) -> bool:
-        return (self.x, self.y) != (0, 0)
+        return self != (0, 0)
 
     def render(self) -> str:
-        return f"({self.x})[{self.y}]"
+        return f"({self[0]})[{self[1]}]"
 
     __str__ = render
 
     def to_json(self) -> dict:
-        return {"x": self.x, "y": self.y}
+        return {"x": self[0], "y": self[1]}
 
     @staticmethod
     def from_json(data: dict) -> "TateTwist":
@@ -59,7 +89,7 @@ def split_quadric_sum(m: int, j: int) -> TateTwist:
     Closed form for j >= 0: (jm - j(j-1))[j(2m+1) - 2j(j-1)].
     """
     pairs = j * (j - 1)
-    return TateTwist(j * m - pairs, j * (2 * m + 1) - 2 * pairs)
+    return _new(TateTwist, (j * m - pairs, j * (2 * m + 1) - 2 * pairs))
 
 
 def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:

@@ -9,11 +9,13 @@ from quadpic import (
     declare_decomposition,
     declared_lattice_from_data,
     decompose_real,
+    lattice_to_data,
     real_lattice,
     registered_decomposition,
     t_equivalent,
     tate_counts,
 )
+from quadpic.acceptance import real_forms
 
 real = QuadraticForm.real
 signatures = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
@@ -280,3 +282,23 @@ def test_decomposition_json_round_trip():
     dec = decompose_real(real(5, 0), model)
     again = Decomposition.from_json(dec.quadric, dec.to_json())
     assert again == dec
+
+
+@pytest.mark.parametrize(
+    "forms, depth",
+    [
+        ([real(3, 0), real(2, 1)], 2),
+        (real_forms(6), 2),
+        (real_forms(8), 3),
+    ],
+    ids=["pair", "dim6", "dim8"],
+)
+def test_a_snapshot_declares_back_every_real_decomposition(forms, depth):
+    # the Pfister class quadric of each Rost block is registered with the
+    # decomposition, so the lattice's snapshot knows every summand class
+    model = real_lattice(forms, depth=depth)
+    decompositions = {q.key: decompose_real(q, model) for q in forms if q.dim >= 2}
+    declared = declared_lattice_from_data(lattice_to_data(model))
+    for key, dec in decompositions.items():
+        back = declare_decomposition(declared.form(key), dec.to_json(), declared)
+        assert back.tates == dec.tates and blocks(back) == blocks(dec)

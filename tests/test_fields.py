@@ -26,6 +26,7 @@ from quadpic import (
     prime,
     real_lattice,
     serialize_model,
+    twist_readoff,
 )
 from quadpic.acceptance import real_forms
 from quadpic.decomp import DECOMPOSITION_SHAPE
@@ -114,12 +115,15 @@ def test_witt_index_computes_once_per_form_and_level(monkeypatch):
 
 
 def _memoized_answers(lattice, q, token):
-    """What each memoized oracle gives for q at the token."""
+    """What each memoized oracle, and the read-off table, gives for q at the token."""
+    tower = build_tower(q)
+    slot = active_index(tower, token, lattice)
     return (
         lattice.witt_index(q, token),
         phi_affine(q, token, lattice),
         phi_det(ProjectiveQuadric(q), token, lattice),
-        active_index(build_tower(q), token, lattice),
+        slot,
+        twist_readoff(slot, q.dim, tower.prime_quadric_dim),
     )
 
 
@@ -820,6 +824,7 @@ def test_concurrent_oracle_reads_match_serial_results():
     serial = [_memoized_answers(model, q, t) for q, t in jobs]
 
     fresh = real_lattice(forms, depth=2)
+    twist_readoff.cache_clear()  # the concurrent readers fill the table afresh
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -830,3 +835,5 @@ def test_concurrent_oracle_reads_match_serial_results():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == serial
+    # both routes agree at every (form, token)
+    assert all(answer[1] == answer[4] for answer in concurrent)

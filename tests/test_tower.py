@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +54,14 @@ def test_twist_readoff_formulas():
         twist_readoff(7, 6, 5)
     with pytest.raises(ValueError):
         twist_readoff(-1, 6, 5)
+
+
+def test_twist_readoff_table_never_stores_a_refusal():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="active index 7 outside"):
+            twist_readoff(7, 6, 5)
+    # a repeated answer is the first one, built once
+    assert twist_readoff(3, 6, 5) is twist_readoff(3, 6, 5)
 
 
 @given(signatures, st.lists(signatures, max_size=3))
@@ -158,3 +169,30 @@ def test_a_poisoned_memo_never_feeds_the_other_route():
     for other in model.extension_tokens():
         assert phi_affine(q, other, model) == phi_affine(q, other, clean)
     assert _criterion_1_mismatches(q, tower, model) == sorted(group)
+
+
+def _imports_and_memo_keys(module: str):
+    """What a quadpic module imports from its siblings, and the memos it reads."""
+    path = Path(__file__).resolve().parents[1] / "src" / "quadpic" / f"{module}.py"
+    imported, memo_keys = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "memos"
+            and isinstance(node.slice, ast.Constant)
+        ):
+            memo_keys.add(node.slice.value)
+    return imported, memo_keys
+
+
+def test_the_two_routes_share_only_the_twist_type():
+    # the read-off table and the tower memo live in tower, the split sums and
+    # their memo in twists; neither module reaches into the other
+    tower_imports, tower_memos = _imports_and_memo_keys("tower")
+    twists_imports, twists_memos = _imports_and_memo_keys("twists")
+    assert {name for module, name in tower_imports if module == "twists"} == {"TateTwist"}
+    assert not any(module == "tower" for module, _ in twists_imports)
+    assert tower_memos == {"tower"} and twists_memos == {"twists"}

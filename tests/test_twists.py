@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +21,8 @@ from quadpic import (
     phi_ratio_summand,
     real_lattice,
 )
+import quadpic.tower
+import quadpic.twists
 from quadpic.twists import split_quadric_sum
 
 real = QuadraticForm.real
@@ -38,6 +43,131 @@ def test_twist_rendering_and_json():
     t = TateTwist(2, 5)
     assert t.render() == "(2)[5]"
     assert TateTwist.from_json(t.to_json()) == t
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class OldTateTwist:
+    """The frozen dataclass that TateTwist was, kept as the reference."""
+
+    x: int = 0
+    y: int = 0
+
+    def __add__(self, other: "OldTateTwist") -> "OldTateTwist":
+        return OldTateTwist(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "OldTateTwist") -> "OldTateTwist":
+        return OldTateTwist(self.x - other.x, self.y - other.y)
+
+    def __neg__(self) -> "OldTateTwist":
+        return OldTateTwist(-self.x, -self.y)
+
+    def __rmul__(self, scalar: int) -> "OldTateTwist":
+        return OldTateTwist(scalar * self.x, scalar * self.y)
+
+    def __bool__(self) -> bool:
+        return (self.x, self.y) != (0, 0)
+
+    def render(self) -> str:
+        return f"({self.x})[{self.y}]"
+
+    __str__ = render
+
+    def to_json(self) -> dict:
+        return {"x": self.x, "y": self.y}
+
+    @staticmethod
+    def from_json(data: dict) -> "OldTateTwist":
+        return OldTateTwist(int(data["x"]), int(data["y"]))
+
+
+def _same(new, old) -> bool:
+    return type(new) is TateTwist and (new.x, new.y) == (old.x, old.y)
+
+
+pairs = st.tuples(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20))
+
+
+@given(st.lists(pairs, min_size=1, max_size=6), st.integers(-10**6, 10**6))
+def test_twist_agrees_with_the_old_dataclass(entries, k):
+    new = [TateTwist(x, y) for x, y in entries]
+    old = [OldTateTwist(x, y) for x, y in entries]
+    for a, a_old in zip(new, old):
+        assert _same(-a, -a_old)
+        assert _same(k * a, k * a_old)
+        assert bool(a) == bool(a_old)
+        assert a.render() == a_old.render() == str(a) == str(a_old)
+        assert a.to_json() == a_old.to_json()
+        assert _same(TateTwist.from_json(a.to_json()), OldTateTwist.from_json(a_old.to_json()))
+        for b, b_old in zip(new, old):
+            assert _same(a + b, a_old + b_old)
+            assert _same(a - b, a_old - b_old)
+            assert (a == b) == (a_old == b_old)
+            assert (a != b) == (a_old != b_old)
+            assert (a < b) == (a_old < b_old)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert [hash(a) for a in new] == [hash(a) for a in old]
+    assert [(t.x, t.y) for t in sorted(new)] == [(t.x, t.y) for t in sorted(old)]
+    assert bool(TateTwist()) == bool(OldTateTwist()) is False
+
+
+@pytest.mark.parametrize("cls", [TateTwist, OldTateTwist])
+def test_twist_is_immutable(cls):
+    t = cls(1, 2)
+    with pytest.raises(AttributeError):
+        t.x = 5
+    with pytest.raises(AttributeError):
+        t.z = 5
+    assert (t.x, t.y) == (1, 2)
+
+
+@given(twists, st.integers(-50, 50))
+def test_twist_times_int_scales_and_never_repeats(t, k):
+    assert t * k == k * t
+    assert type(t * k) is TateTwist and len(t * k) == 2
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [
+        lambda t: t + (1,),
+        lambda t: t + (1, 2),
+        lambda t: (1, 2) + t,
+        lambda t: t - (1, 2),
+        lambda t: t + 1,
+        lambda t: sum([t]),
+        lambda t: t * 2.5,
+        lambda t: t * t,
+        lambda t: [1] * t,
+    ],
+    ids=["short-tuple", "tuple", "tuple-left", "minus-tuple", "int", "sum", "float", "twist", "list"],
+)
+def test_twist_refuses_tuple_and_sequence_operations(combine):
+    with pytest.raises(TypeError):
+        combine(TateTwist(1, 2))
+
+
+def test_twist_equals_and_hashes_as_its_plain_pair():
+    # documented on the class: a twist is the pair (x, y) for ==, hash and <
+    t = TateTwist(1, 2)
+    assert t == (1, 2) and (1, 2) == t
+    assert hash(t) == hash((1, 2))
+    assert {t: "v"}[(1, 2)] == "v"
+    assert t != (1, 2, 0) and t != [1, 2]
+    assert t < (1, 3)
+    assert "TateTwist(1, 2) == (1, 2)" in TateTwist.__doc__
+
+
+def test_layer_functions_stay_plain_functions():
+    # the per-layer tracer wraps only plain functions; a cache wrapper on
+    # one of these would silently drop its spans and counts
+    for fn in (
+        quadpic.twists.split_quadric_sum,
+        quadpic.twists.phi_affine,
+        quadpic.twists.phi_det,
+        quadpic.tower.active_index,
+    ):
+        assert inspect.isfunction(fn), fn
 
 
 def test_split_quadric_sum_matches_the_literal_sum():
