@@ -283,9 +283,21 @@ def class_vector(decs) -> Counter:
     return counts
 
 
+def _on_roots(model, counts) -> Counter:
+    """Re-key (class, kind) counts onto the classes' current roots.
+
+    A key that was a root when a decomposition was registered can become a
+    child later, when a smaller key joins its class; counts of keys that
+    now share a root are summed, and zero sums dropped (negative counts are
+    kept).
+    """
+    out: Counter = Counter()
+    for (cls, kind), n in counts:
+        out[(_find(model, cls), kind)] += n
+    return Counter({key: n for key, n in out.items() if n != 0})
+
+
 def t_equivalent(a, b, model) -> bool:
     """Tate-shift equivalence: same multiset of summand classes, Tates ignored."""
     va, vb = class_vector(a), class_vector(b)
-    va = Counter({(_find(model, cls), kind): n for (cls, kind), n in va.items()})
-    vb = Counter({(_find(model, cls), kind): n for (cls, kind), n in vb.items()})
-    return va == vb
+    return _on_roots(model, va.items()) == _on_roots(model, vb.items())

@@ -23,17 +23,20 @@ and the derived extensions:
   row-id pair or token; tokens are walked only where a check fails.
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
-memo (witt_index, phi_affine, phi_det, active_index) of a lattice that
-nothing grows meanwhile give the serial answers, which a test checks;
-growing a lattice while others read it is not supported.
+oracle memo (witt_index, phi_affine, phi_det, active_index) of a lattice
+that nothing grows meanwhile give the serial answers, which a test checks;
+growing a lattice while others read it is not supported.  memos["pic"] is
+not covered: det and det_vector may register forms and decompositions, so
+they grow the lattice they read.
 
 Every oracle answer at an extension depends only on its oracle group (see
 oracle_group and token_groups): the level on the real backend, the token
 itself on the declared backend.  Lattice-wide sweeps evaluate once per
 group, real_lattice works out each round's children once per level, and
 every per-extension memo holds one entry per group: the Witt memo here,
-and the memos that the twists and tower layers keep in memos[layer]; decomp
-keeps its registries there too.  No memo key names a token.
+and the memos that the twists and tower layers keep in memos[layer].  decomp
+keeps its registries there too, and pic its det words, atom class vectors
+and det-atom quadrics, keyed by form.  No memo key names a token.
 """
 
 from __future__ import annotations
@@ -165,10 +168,10 @@ class ExtensionLattice:
         self._extensions: dict[str, Extension] = {}
         self._forms: dict[str, QuadraticForm] = {}
         self._base: str | None = None
-        # the memos and registries of the layers above: twists and tower keep
-        # one memo each under their own name, decomp its two registries under
-        # "decompositions" and "classes"; each layer owns its keys, and no key
-        # names a token (a per-extension memo keys by oracle group)
+        # the memos and registries of the layers above: twists, tower and pic
+        # keep one memo each under their own name, decomp its two registries
+        # under "decompositions" and "classes"; each layer owns its keys, and no
+        # key names a token (a per-extension memo keys by oracle group)
         self.memos: defaultdict[str, dict] = defaultdict(dict)
         self._ancestor_cache: dict[str, frozenset[str]] = {}
 

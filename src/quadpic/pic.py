@@ -16,6 +16,22 @@ motivic-equivalence criterion, the real basis) first materialize the full
 generic splitting towers of every form involved; in the level model those
 towers isolate each Rost class at its splitting level.  A declared lattice
 is fixed and builds none.
+
+Words already known are not rebuilt.  The lattice's memos["pic"] holds,
+per lattice:
+
+* ("det", form key, None or the flag's keys): the sorted word of det(Q) for
+  a real quadric, stored once the step generators are registered in that
+  lattice, so a hit skips no side effect; a refused det stores nothing;
+* ("class", gen, key, is_real): the class vector of one atom as its
+  registered decompositions give it, before the classes are resolved to
+  their current roots (roots move when classes merge); a missing
+  decomposition stores nothing, since it may be declared later;
+* ("quadric", key): the projective quadric of a det atom's form.
+
+One side of each cross-check never reads memos["pic"]: the class route of
+relations_check (t_equivalent) and the Witt route of motivically_equivalent.
+A wrong entry therefore shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -24,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .decomp import (
-    _find,
+    _on_roots,
     class_vector,
     parse_rost_kind,
     registered_decomposition,
@@ -45,8 +61,9 @@ GEN_DET = "det"
 Atom = tuple[str, str]
 
 
-def _atom_sort_key(atom: Atom):
-    gen, key = atom
+def _entry_order(entry):
+    """Sort key of a word entry (atom, coefficient): generator, then form key."""
+    (gen, key), _ = entry
     return (gen, len(key), key)
 
 
@@ -62,10 +79,16 @@ class PicElement:
     def __init__(self, model, tate: TateTwist = ZERO_TWIST, word=()):
         self.model = model
         self.tate = tate
-        items = dict(word)
-        self.word = tuple(
-            sorted(((a, c) for a, c in items.items() if c != 0), key=lambda ac: _atom_sort_key(ac[0]))
-        )
+        self.word = tuple(sorted(((a, c) for a, c in dict(word).items() if c != 0), key=_entry_order))
+
+    @classmethod
+    def _of_word(cls, model, tate: TateTwist, word: tuple) -> "PicElement":
+        """An element from a word that is already sorted and has no zero powers."""
+        element = object.__new__(cls)
+        element.model = model
+        element.tate = tate
+        element.word = word
+        return element
 
     # ------------------------------------------------------------- algebra
 
@@ -75,14 +98,19 @@ class PicElement:
 
     def __mul__(self, other: "PicElement") -> "PicElement":
         self._require_same_model(other)
-        merged = Counter(dict(self.word))
-        merged.update(dict(other.word))
-        return PicElement(self.model, self.tate + other.tate, merged)
+        tate = self.tate + other.tate
+        if not other.word:
+            return PicElement._of_word(self.model, tate, self.word)
+        if not self.word:
+            return PicElement._of_word(self.model, tate, other.word)
+        merged = dict(self.word)
+        for atom, coeff in other.word:
+            merged[atom] = merged.get(atom, 0) + coeff
+        return PicElement(self.model, tate, merged)
 
     def __pow__(self, k: int) -> "PicElement":
-        return PicElement(
-            self.model, k * self.tate, {a: k * c for a, c in self.word}
-        )
+        word = tuple((a, k * c) for a, c in self.word) if k else ()
+        return PicElement._of_word(self.model, k * self.tate, word)
 
     # -------------------------------------------------------------- values
 
@@ -90,7 +118,7 @@ class PicElement:
         gen, key = atom
         if gen == GEN_E:
             return phi_affine(self.model.form(key), token, self.model)
-        return phi_det(ProjectiveQuadric(self.model.form(key)), token, self.model)
+        return phi_det(_atom_quadric(self.model, key), token, self.model)
 
     def _atom_closure(self, atom: Atom) -> TateTwist:
         gen, key = atom
@@ -124,33 +152,39 @@ class PicElement:
 
     # ---------------------------------------------------------- det vector
 
-    def _atom_class_vector(self, atom: Atom) -> Counter | None:
+    def _atom_class_vector(self, atom: Atom) -> tuple | None:
+        """((class, kind), count) pairs of one atom, classes as registered."""
         gen, key = atom
-        form = self.model.form(key)
+        model = self.model
+        form = model.form(key)
+        memo = model.memos["pic"]
+        memo_key = ("class", gen, key, form.is_real)
+        got = memo.get(memo_key)
+        if got is not None:
+            return got
         try:
             if gen == GEN_DET:
-                return class_vector([registered_decomposition(ProjectiveQuadric(form), self.model)])
-            plus = class_vector(
-                [registered_decomposition(ProjectiveQuadric(self.model.prime_of(form)), self.model)]
-            )
-            minus = class_vector([registered_decomposition(ProjectiveQuadric(form), self.model)])
-            plus.subtract(minus)
-            return plus
+                vec = class_vector([registered_decomposition(ProjectiveQuadric(form), model)])
+            else:
+                vec = class_vector(
+                    [registered_decomposition(ProjectiveQuadric(model.prime_of(form)), model)]
+                )
+                vec.subtract(class_vector([registered_decomposition(ProjectiveQuadric(form), model)]))
         except ModelError:
             return None
+        got = memo[memo_key] = tuple((cls_kind, n) for cls_kind, n in vec.items() if n != 0)
+        return got
 
     def det_vector(self) -> Counter | None:
         """Z-vector over (canonical class, kind), or None if data is missing."""
-        total: Counter = Counter()
+        total: dict = {}
         for atom, coeff in self.word:
             vec = self._atom_class_vector(atom)
             if vec is None:
                 return None
-            for cls_kind, n in vec.items():
-                total[cls_kind] += coeff * n
-        return Counter(
-            {(_find(self.model, cls), kind): n for (cls, kind), n in total.items() if n != 0}
-        )
+            for cls_kind, n in vec:
+                total[cls_kind] = total.get(cls_kind, 0) + coeff * n
+        return _on_roots(self.model, total.items())
 
     # ------------------------------------------------------------ equality
 
@@ -213,6 +247,15 @@ class EqualityVerdict:
     @property
     def model_relative(self) -> bool:
         return not self.exact
+
+
+def _atom_quadric(model, key: str) -> ProjectiveQuadric:
+    """The projective quadric of a registered form, made once per lattice."""
+    memo = model.memos["pic"]
+    got = memo.get(("quadric", key))
+    if got is None:
+        got = memo[("quadric", key)] = ProjectiveQuadric(model.form(key))
+    return got
 
 
 def _sweep(element: PicElement):
@@ -279,6 +322,11 @@ def det(quadric: ProjectiveQuadric, model, flag=None) -> PicElement:
     chain = list(flag) if flag is not None else None
     if chain is not None:
         _validate_flag(form, chain)
+    memo = model.memos["pic"]
+    memo_key = ("det", form.key, None if chain is None else tuple(e.key for e in chain))
+    known = memo.get(memo_key)
+    if known is not None:
+        return PicElement._of_word(model, ZERO_TWIST, known)
     word: Counter = Counter()
     current = form
     step = 0
@@ -297,7 +345,9 @@ def det(quadric: ProjectiveQuadric, model, flag=None) -> PicElement:
             else QuadraticForm.real(current.pos, current.neg - 1)
         )
         step += 1
-    return PicElement(model, word=word)
+    element = PicElement(model, word=word)
+    memo[memo_key] = element.word
+    return element
 
 
 def _validate_flag(top: QuadraticForm, chain) -> None:

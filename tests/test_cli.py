@@ -270,6 +270,45 @@ def test_declared_decompositions_via_decomps_file(tmp_path, capsys):
     assert code == 2 and "--model" in err
 
 
+def test_declared_twins_agree_when_sorted_ids_and_class_order_differ(tmp_path, capsys):
+    # "PP" is declared before "Q" (sorted ids), but the class key Q#0 sorts
+    # first, so PP's registered classes stop being roots once Q's are declared
+    names = ("PP", "Q")
+    tokens = ["k"] + [f"k({n})" for n in names] + [f"k(G({n},1))" for n in names]
+    data = {
+        "forms": [entry for n in names
+                  for entry in ({"id": n, "dim": 5, "prime": f"{n}p"}, {"id": f"{n}p", "dim": 6})],
+        "extensions": [{"id": "k", "construction": "base"}]
+        + [{"id": f"k({n})", "parent": "k", "construction": f"ff:{n}"} for n in names]
+        + [{"id": f"k(G({n},1))", "parent": "k", "construction": f"gff:{n}:1"} for n in names],
+        "witt": [
+            {"form": f, "extension": t, "index": i}
+            for f in ("PP", "PPp", "Q", "Qp")
+            for t, i in zip(tokens, (0, 1, 1, 2, 2))
+        ],
+    }
+    model_file = tmp_path / "twin.json"
+    model_file.write_text(serialize_model(data), encoding="utf-8")
+    decomps = {
+        n: {
+            "tates": [],
+            "summands": [
+                {"class": {"quadric": n, "planes": planes}, "shift": planes, "kind": "declared"}
+                for planes in (0, 1)
+            ],
+        }
+        for n in names
+    }
+    decomps_file = tmp_path / "decomps.json"
+    decomps_file.write_text(json.dumps(decomps), encoding="utf-8")
+    common = ("--model", str(model_file), "--decomps", str(decomps_file))
+    assert run(capsys, *common, "equiv", "--left", "PP", "--right", "Q") == (0, "equivalent\n", "")
+    code, out, err = run(capsys, *common, "--json", "relations", "--lhs", "PP;Q", "--rhs", "PP;PP")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["fingerprint_equal_mod_tate"] and payload["tate_equivalent"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,15 +1,22 @@
 import ast
+import copy
+import inspect
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadpic
 from quadpic import (
+    ClassKey,
     DisagreementError,
     ModelError,
+    PicElement,
     ProjectiveQuadric,
     QuadraticForm,
+    RelationsVerdict,
     TateTwist,
     all_flags,
     basis_real,
@@ -21,6 +28,7 @@ from quadpic import (
     identity,
     independent,
     inverse_identity_check,
+    lattice_to_data,
     motivically_equivalent,
     pfister_real,
     phi_det,
@@ -413,6 +421,38 @@ def test_declared_twins_are_equivalent_with_equal_det():
     assert not motivically_equivalent(A, B, poor)
 
 
+def declare_two_classes(model, name):
+    declare_decomposition(
+        model.form(name),
+        {
+            "tates": [],
+            "summands": [
+                {"class": {"quadric": name, "planes": 0}, "shift": 0, "kind": "declared"},
+                {"class": {"quadric": name, "planes": 1}, "shift": 1, "kind": "declared"},
+            ],
+        },
+        model,
+    )
+
+
+@pytest.mark.parametrize("order", [("P", "Q"), ("Q", "P")])
+def test_twin_verdicts_do_not_depend_on_the_declaration_order(order):
+    # declaring Q first makes Q#0 a root until P#0 joins its class and takes
+    # over (the smaller key wins), so Q's registered classes are then children
+    model = twin_declared_model()
+    for name in order:
+        declare_two_classes(model, name)
+    P, Q = ProjectiveQuadric(model.form("P")), ProjectiveQuadric(model.form("Q"))
+    verdict = det(P, model).equality(det(Q, model))
+    assert verdict.equal and verdict.exact
+    assert relations_check([P, Q], [P, P], model) == RelationsVerdict(True, True)
+    assert motivically_equivalent(P, Q, model)
+    # counts summed into a root keep their sign
+    assert (det(Q, model) ** -2).det_vector() == Counter(
+        {(ClassKey("P", 0), "declared"): -2, (ClassKey("P", 1), "declared"): -2}
+    )
+
+
 def test_declared_relations_need_decompositions():
     model = twin_declared_model()
     P, Q = ProjectiveQuadric(model.form("P")), ProjectiveQuadric(model.form("Q"))
@@ -627,3 +667,135 @@ def test_inverse_check_on_a_broken_table_lists_failures_in_token_order():
     assert inverse_identity_check(
         model.form("c"), declared_lattice_from_data(unsorted_declared_data(cpp_index=1))
     ).ok
+
+
+# ------------------------------------------------------------ pic memo
+
+
+atoms = st.tuples(st.sampled_from(["e", "det"]), st.sampled_from(["(1,0)", "(2,1)", "(10,3)", "c1"]))
+words = st.lists(st.tuples(atoms, st.integers(-3, 3)), max_size=6)
+twists = st.builds(TateTwist, st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(words, twists, words, twists, st.integers(-3, 3))
+def test_fast_path_words_equal_the_sorted_construction(wa, ta, wb, tb, k):
+    model = real_lattice([], depth=0)  # the words are only built, never evaluated
+    a, b = PicElement(model, ta, wa), PicElement(model, tb, wb)
+    counts = Counter(dict(a.word))
+    counts.update(dict(b.word))
+    cases = [
+        (a**k, k * ta, {atom: k * c for atom, c in a.word}),
+        (a * identity(model), ta, a.word),
+        (identity(model) * a, ta, a.word),
+        (a * tate_element(model, tb), ta + tb, a.word),
+        (tate_element(model, tb) * a, ta + tb, a.word),
+        (a * b, ta + tb, counts),
+    ]
+    for element, tate, word in cases:
+        reference = PicElement(model, tate, word)
+        assert (element.tate, element.word) == (reference.tate, reference.word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signatures, st.data())
+def test_det_memo_hits_equal_the_sorted_construction(pm, data):
+    form = real(*pm)
+    flag = data.draw(st.sampled_from([None, *all_flags(form)]))
+    model = real_lattice([], depth=0)
+    first = det(ProjectiveQuadric(form), model, flag=flag)
+    hit = det(ProjectiveQuadric(form), model, flag=flag)
+    fresh = det(ProjectiveQuadric(form), real_lattice([], depth=0), flag=flag)
+    reference = PicElement(model, TateTwist(0, 0), dict(hit.word))
+    assert hit.model is model and hit.tate == TateTwist(0, 0)
+    assert hit.word == first.word == fresh.word == reference.word
+
+
+def test_a_repeated_det_leaves_the_lattice_as_one_call_does():
+    def build():
+        return real_lattice([real(3, 1)], depth=1)
+
+    flag = next(all_flags(real(7, 2)))
+    once, twice = build(), build()
+    for model, calls in ((once, 1), (twice, 2)):
+        for _ in range(calls):
+            det(quadric(7, 2), model)
+            det(quadric(7, 2), model, flag=flag)
+    assert once.form_keys() != build().form_keys()  # det registered its steps
+    assert twice.form_keys() == once.form_keys()
+    assert lattice_to_data(twice) == lattice_to_data(once)
+
+
+def test_a_refused_det_is_refused_again():
+    declared = declared_lattice_from_data(lattice_to_data(real_lattice([real(3, 1)], depth=1)))
+    for _ in range(2):
+        with pytest.raises(ModelError, match="in a declared lattice"):
+            det(quadric(3, 1), declared)
+    model = rich_lattice()
+    for _ in range(2):
+        with pytest.raises(ModelError, match="codimension-1"):
+            det(quadric(3, 1), model, flag=[real(1, 1)])
+        with pytest.raises(ModelError, match="not complete"):
+            det(quadric(3, 1), model, flag=[real(3, 0)])
+    assert not declared.memos["pic"]
+    assert not any(key[0] == "det" for key in model.memos["pic"])
+
+
+def test_declared_det_vector_appears_once_the_decomposition_is_declared():
+    model = twin_declared_model()
+    x = det(ProjectiveQuadric(model.form("P")), model)
+    assert x.det_vector() is None
+    declare_two_classes(model, "P")
+    assert x.det_vector() == Counter(
+        {(ClassKey("P", 0), "declared"): 1, (ClassKey("P", 1), "declared"): 1}
+    )
+    # e^P also needs the prime's decomposition, which nothing declares
+    assert generator_e(model.form("P"), model).det_vector() is None
+
+
+def test_a_copied_lattice_answers_as_the_original():
+    def elements(model):
+        return [
+            det(quadric(5, 2), model),
+            det(quadric(4, 0), model, flag=[real(3, 0), real(2, 0)]),
+            generator_e(real(3, 1), model) * det(quadric(6, 1), model) ** -1,
+        ]
+
+    def answers(model):
+        return [(x.word, x.det_vector(), x.base_value()) for x in elements(model)]
+
+    model = rich_lattice()
+    before = answers(model)
+    assert {key[0] for key in model.memos["pic"]} == {"det", "class"}
+    copied = copy.deepcopy(model)
+    assert answers(copied) == before == answers(model)
+    assert all(x.model is copied for x in elements(copied))
+    P, Q = quadric(5, 2), quadric(2, 5)
+    for lattice in (model, copied):
+        assert motivically_equivalent(P, Q, lattice)
+        assert relations_check([P], [Q], lattice) == RelationsVerdict(True, True)
+
+
+def test_a_poisoned_det_entry_trips_both_cross_checks():
+    # the class route of relations_check and the Witt route of
+    # motivically_equivalent never read the pic memo, so a wrong det word
+    # shows up as a disagreement instead of passing both sides
+    model = rich_lattice()
+    P, Q = quadric(3, 0), quadric(2, 1)
+    wrong = det(Q, model).word
+    det(P, model)
+    model.memos["pic"][("det", "(3,0)", None)] = wrong
+    with pytest.raises(DisagreementError):
+        relations_check([P], [Q], model)
+    with pytest.raises(DisagreementError):
+        motivically_equivalent(P, Q, model)
+
+
+def test_the_class_route_never_names_the_pic_memo():
+    tree = ast.parse((SRC / "decomp.py").read_text(encoding="utf-8"))
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert "pic" not in constants
+    # the tracer wraps plain functions only
+    assert inspect.isfunction(quadpic.pic.det)
+    assert inspect.isfunction(PicElement.__dict__["det_vector"])
+    assert inspect.isfunction(PicElement.__dict__["value_at"])
