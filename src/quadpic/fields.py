@@ -35,8 +35,8 @@ itself on the declared backend.  Lattice-wide sweeps evaluate once per
 group, real_lattice works out each round's children once per level, and
 every per-extension memo holds one entry per group: the Witt memo here,
 and the memos that the twists and tower layers keep in memos[layer].  decomp
-keeps its registries there too, and pic its det words, atom class vectors
-and det-atom quadrics, keyed by form.  No memo key names a token.
+keeps its registries there too, and pic its det words and atom class
+vectors, keyed by form.  No memo key names a token.
 """
 
 from __future__ import annotations

@@ -23,11 +23,10 @@ per lattice:
 * ("det", form key, None or the flag's keys): the sorted word of det(Q) for
   a real quadric, stored once the step generators are registered in that
   lattice, so a hit skips no side effect; a refused det stores nothing;
-* ("class", gen, key, is_real): the class vector of one atom as its
-  registered decompositions give it, before the classes are resolved to
-  their current roots (roots move when classes merge); a missing
-  decomposition stores nothing, since it may be declared later;
-* ("quadric", key): the projective quadric of a det atom's form.
+* ("class", gen, key): the class vector of one atom as its registered
+  decompositions give it, before the classes are resolved to their current
+  roots (roots move when classes merge); a missing decomposition stores
+  nothing, since it may be declared later.
 
 One side of each cross-check never reads memos["pic"]: the class route of
 relations_check (t_equivalent) and the Witt route of motivically_equivalent.
@@ -118,7 +117,7 @@ class PicElement:
         gen, key = atom
         if gen == GEN_E:
             return phi_affine(self.model.form(key), token, self.model)
-        return phi_det(_atom_quadric(self.model, key), token, self.model)
+        return phi_det(ProjectiveQuadric(self.model.form(key)), token, self.model)
 
     def _atom_closure(self, atom: Atom) -> TateTwist:
         gen, key = atom
@@ -156,12 +155,12 @@ class PicElement:
         """((class, kind), count) pairs of one atom, classes as registered."""
         gen, key = atom
         model = self.model
-        form = model.form(key)
         memo = model.memos["pic"]
-        memo_key = ("class", gen, key, form.is_real)
+        memo_key = ("class", gen, key)
         got = memo.get(memo_key)
         if got is not None:
             return got
+        form = model.form(key)
         try:
             if gen == GEN_DET:
                 vec = class_vector([registered_decomposition(ProjectiveQuadric(form), model)])
@@ -247,15 +246,6 @@ class EqualityVerdict:
     @property
     def model_relative(self) -> bool:
         return not self.exact
-
-
-def _atom_quadric(model, key: str) -> ProjectiveQuadric:
-    """The projective quadric of a registered form, made once per lattice."""
-    memo = model.memos["pic"]
-    got = memo.get(("quadric", key))
-    if got is None:
-        got = memo[("quadric", key)] = ProjectiveQuadric(model.form(key))
-    return got
 
 
 def _sweep(element: PicElement):
