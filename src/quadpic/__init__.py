@@ -61,7 +61,6 @@ from .pic import (
 )
 from .tower import ProjectorTower, active_index, build_tower, twist_readoff
 from .twists import (
-    PhiFingerprint,
     TateTwist,
     ZERO_TWIST,
     phi_affine,

@@ -146,8 +146,10 @@ def _cmd_phi(args) -> int:
 def _emit_element(args, name: str, element) -> None:
     """The element and its fingerprint, which is swept once for either output."""
     fp = element.fingerprint()
-    _emit(args, {"command": name, "element": element.to_json(), "fingerprint": fp.to_json()},
-          element.render() + "\n" + fp.render())
+    tokens = sorted(fp)
+    _emit(args, {"command": name, "element": element.to_json(),
+                 "fingerprint": {t: fp[t].to_json() for t in tokens}},
+          element.render() + "\n" + "; ".join(f"{t}: {fp[t].render()}" for t in tokens))
 
 
 def _cmd_e(args) -> int:

@@ -133,9 +133,6 @@ class Decomposition:
     def make(quadric: str, tates, summands) -> "Decomposition":
         return Decomposition(quadric, tuple(sorted(tates)), tuple(sorted(summands)))
 
-    def expected_rank(self, form_dim: int) -> int:
-        return form_dim if form_dim % 2 == 0 else form_dim - 1
-
     def rank(self) -> int:
         return 2 * len(self.summands) + len(self.tates)
 
@@ -199,7 +196,8 @@ def decompose_real(q: QuadraticForm, model) -> Decomposition:
 
 
 def _check_rank(dec: Decomposition, form_dim: int) -> None:
-    expected = dec.expected_rank(form_dim)
+    # the quadric of a form of dimension n has a motive of rank n, or n - 1 for odd n
+    expected = form_dim - form_dim % 2
     if dec.rank() != expected:
         raise ModelError(
             f"decomposition of {dec.quadric} covers rank {dec.rank()}, "

@@ -53,7 +53,6 @@ from .forms import (
     ProjectiveQuadric,
     QuadraticForm,
     prime,
-    real_form_from_key,
 )
 
 INFINITE_LEVEL = float("inf")
@@ -148,9 +147,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __iter__(self):
-        return iter(self.violations)
 
     def render(self) -> str:
         if self.ok:
@@ -397,15 +393,6 @@ class RealLattice(ExtensionLattice):
         if with_prime:
             self._forms.setdefault(prime(q).key, prime(q))
         return q.key
-
-    def form(self, key: str) -> QuadraticForm:
-        got = self._forms.get(key)
-        if got is not None:
-            return got
-        try:
-            return real_form_from_key(key)
-        except ValueError:
-            raise ModelError(f"unknown form {key!r}") from None
 
     def prime_of(self, q: QuadraticForm) -> QuadraticForm:
         if not q.is_real:

@@ -160,9 +160,5 @@ class Grassmannian:
                 f"G({self.quadric.key},{self.planes}): plane level out of range"
             )
 
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.quadric.key, self.planes)
-
     def __repr__(self) -> str:
         return f"G[{self.quadric.key},{self.planes}]"

@@ -52,7 +52,7 @@ from .forms import (
     QuadraticForm,
     pfister_real,
 )
-from .twists import PhiFingerprint, TateTwist, ZERO_TWIST, phi_affine, phi_det, split_quadric_sum
+from .twists import TateTwist, ZERO_TWIST, phi_affine, phi_det, split_quadric_sum
 
 GEN_E = "e"
 GEN_DET = "det"
@@ -78,7 +78,12 @@ class PicElement:
     def __init__(self, model, tate: TateTwist = ZERO_TWIST, word=()):
         self.model = model
         self.tate = tate
-        self.word = tuple(sorted(((a, c) for a, c in dict(word).items() if c != 0), key=_entry_order))
+        if not isinstance(word, dict):  # pairs: the powers of a repeated atom add up
+            summed: dict = {}
+            for atom, coeff in word:
+                summed[atom] = summed.get(atom, 0) + coeff
+            word = summed
+        self.word = tuple(sorted(((a, c) for a, c in word.items() if c != 0), key=_entry_order))
 
     @classmethod
     def _of_word(cls, model, tate: TateTwist, word: tuple) -> "PicElement":
@@ -146,8 +151,9 @@ class PicElement:
             y += coeff * ay
         return TateTwist(x, y)
 
-    def fingerprint(self) -> PhiFingerprint:
-        return PhiFingerprint({t: value for group, value in _sweep(self) for t in group})
+    def fingerprint(self) -> dict[str, TateTwist]:
+        """The twist value at every extension of the lattice, base included."""
+        return {t: value for group, value in _sweep(self) for t in group}
 
     # ---------------------------------------------------------- det vector
 
@@ -206,13 +212,6 @@ class PicElement:
             True, False, "fingerprints agree on every registered extension"
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PicElement):
-            return NotImplemented
-        return self.equality(other).equal
-
-    __hash__ = None
-
     # --------------------------------------------------------------- views
 
     def render(self) -> str:
@@ -242,10 +241,6 @@ class EqualityVerdict:
     equal: bool
     exact: bool
     reason: str
-
-    @property
-    def model_relative(self) -> bool:
-        return not self.exact
 
 
 def _sweep(element: PicElement):

@@ -144,24 +144,3 @@ def phi_ratio_summand(summand, extension, model) -> TateTwist:
     for l in lower:
         total = total - TateTwist(l, 2 * l - 1)
     return total
-
-
-class PhiFingerprint:
-    """Twist values over every extension of a fixed lattice, base included."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[str, TateTwist]):
-        self.entries = dict(entries)
-
-    def tokens(self) -> list[str]:
-        return sorted(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PhiFingerprint) and self.entries == other.entries
-
-    def render(self) -> str:
-        return "; ".join(f"{t}: {self.entries[t].render()}" for t in self.tokens())
-
-    def to_json(self) -> dict:
-        return {t: self.entries[t].to_json() for t in self.tokens()}

@@ -54,7 +54,8 @@ def test_e_fingerprint_round_trip(capsys):
     fingerprint = json.loads(out)["fingerprint"]
     assert fingerprint["base"] == {"x": 1, "y": 3}
     model = real_lattice([real(2, 1)], depth=3)
-    assert fingerprint == generator_e(real(2, 1), model).fingerprint().to_json()
+    expected = generator_e(real(2, 1), model).fingerprint()
+    assert fingerprint == {t: v.to_json() for t, v in expected.items()}
 
 
 def test_det_flag_argument(capsys):
@@ -402,11 +403,12 @@ def test_malformed_tate_factors_exit_two(capsys):
 
 
 def test_negative_lattice_depth_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--lattice-depth", "-1", "validate", "--forms", "(5,0)"])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == "" and "--lattice-depth: must be >= 0" in out.err
+    for depth, message in [("-1", "must be >= 0"), ("x", "invalid int value: 'x'")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["--lattice-depth", depth, "validate", "--forms", "(5,0)"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"--lattice-depth: {message}" in out.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -61,8 +61,8 @@ def test_generator_everywhere_anisotropic_has_zero_fingerprint():
     # a lattice whose only level drop (8) keeps (0,5) and (6,0) anisotropic
     model = real_lattice([real(16, 0)], depth=1)
     fp = generator_e(real(0, 5), model).fingerprint()
-    assert set(fp.entries.values()) == {TateTwist(0, 0)}
-    assert len(fp.tokens()) >= 2
+    assert set(fp.values()) == {TateTwist(0, 0)}
+    assert len(fp) >= 2
 
 
 def test_generator_of_split_form_is_the_split_twist():
@@ -70,7 +70,7 @@ def test_generator_of_split_form_is_the_split_twist():
     for n in (2, 3, 6, 7):
         q = real((n + 1) // 2, n // 2)
         fp = generator_e(q, model).fingerprint()
-        assert set(fp.entries.values()) == {TateTwist(n // 2, n)}
+        assert set(fp.values()) == {TateTwist(n // 2, n)}
 
 
 @given(signatures)
@@ -78,8 +78,8 @@ def test_generator_of_split_form_is_the_split_twist():
 def test_adding_a_hyperbolic_plane_twists_by_one(pm):
     p, m = pm
     model = real_lattice([real(p, m), real(p + 1, m + 1)], depth=2)
-    a = generator_e(real(p, m), model).fingerprint().entries
-    b = generator_e(real(p + 1, m + 1), model).fingerprint().entries
+    a = generator_e(real(p, m), model).fingerprint()
+    b = generator_e(real(p + 1, m + 1), model).fingerprint()
     assert b.keys() == a.keys()
     assert {b[t] - a[t] for t in a} == {TateTwist(1, 2)}
 
@@ -91,8 +91,8 @@ def test_group_laws():
     assert (a * a**-1).equality(identity(model)).equal
     assert (a**-1).word == (((("e", "(2,1)")), -1),)
     assert (a * b).fingerprint() == (b * a).fingerprint()
-    squared = {t: 2 * v for t, v in (a * b).fingerprint().entries.items()}
-    assert ((a * b) ** 2).fingerprint().entries == squared
+    squared = {t: 2 * v for t, v in (a * b).fingerprint().items()}
+    assert ((a * b) ** 2).fingerprint() == squared
     with pytest.raises(ModelError):
         a * generator_e(real(2, 1), rich_lattice())
 
@@ -128,7 +128,7 @@ def test_pfister_generator_inverts_the_pure_part_mod_tate():
         product = generator_e(pfister_real(r), model) * generator_e(
             real(0, 2**r - 1), model
         )
-        values = set(product.fingerprint().entries.values())
+        values = set(product.fingerprint().values())
         assert values == {TateTwist(2**r - 1, 2 * (2**r - 1) + 1)}
 
 
@@ -179,7 +179,7 @@ def test_pfister_det_identities():
         assert verdict.equal and verdict.exact
         # mod Tate, det is the -2^(r-1) power of the Pfister generator
         mixed = x * generator_e(pfister_real(r), model) ** (2 ** (r - 1))
-        assert len(set(mixed.fingerprint().entries.values())) == 1
+        assert len(set(mixed.fingerprint().values())) == 1
 
 
 def test_det_class_vector_telescopes_to_the_quadric_classes():
@@ -196,8 +196,8 @@ def test_det_class_vector_telescopes_to_the_quadric_classes():
 def test_fingerprint_tate_part_shifts_every_entry():
     model = rich_lattice()
     x = generator_e(real(2, 1), model)
-    before = x.fingerprint().entries
-    after = (x * tate_element(model, TateTwist(1, 5))).fingerprint().entries
+    before = x.fingerprint()
+    after = (x * tate_element(model, TateTwist(1, 5))).fingerprint()
     assert after.keys() == before.keys()
     assert {after[t] - before[t] for t in before} == {TateTwist(1, 5)}
 
@@ -315,7 +315,7 @@ def test_relations_edge_cases():
 
 def two_fingerprint_verdict(x, y):
     """The relation verdict read off the fingerprints of x and y token by token."""
-    fx, fy = x.fingerprint().entries, y.fingerprint().entries
+    fx, fy = x.fingerprint(), y.fingerprint()
     assert fx.keys() == fy.keys()
     return {fx[t] - fy[t] for t in fx} == {x.closure_value() - y.closure_value()}
 
@@ -339,17 +339,10 @@ def test_relations_verdict_matches_the_two_fingerprint_reference():
 
 def test_only_the_cli_builds_fingerprints():
     # comparisons sweep a quotient once per oracle group; a fingerprint is
-    # built for output only, and has no algebra to compare with
+    # built for output only
     offences = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and node.name == "PhiFingerprint":
-                offences += [
-                    f"{path.name}:{item.lineno} defines PhiFingerprint.{item.name}"
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                    and item.name in ("__sub__", "is_constant", "constant_difference")
-                ]
             if (
                 path.name != "cli.py"
                 and isinstance(node, ast.Call)
@@ -406,7 +399,7 @@ def test_declared_twins_are_equivalent_with_equal_det():
     P, Q = ProjectiveQuadric(model.form("P")), ProjectiveQuadric(model.form("Q"))
     assert motivically_equivalent(P, Q, model)
     verdict = det(P, model).equality(det(Q, model))
-    assert verdict.equal and verdict.model_relative
+    assert verdict.equal and not verdict.exact
     # different dimensions are separated even on a poor lattice
     data_dim = {
         "forms": [{"id": "A", "dim": 4}, {"id": "B", "dim": 6}],
@@ -603,7 +596,7 @@ def test_fingerprint_matches_pointwise_values_as_the_lattice_grows():
             * det_product([quadric(p, m + 1) for p, m in sigs], model)
         )
     for x in elements:
-        assert x.fingerprint().entries == pointwise(x)
+        assert x.fingerprint() == pointwise(x)
 
     # queries add nodes after the fingerprints above were cached
     before = len(model.extension_tokens())
@@ -611,7 +604,7 @@ def test_fingerprint_matches_pointwise_values_as_the_lattice_grows():
     assert independent([real(0, 32), real(0, 16)], model).independent
     assert len(model.extension_tokens()) > before
     for x in elements:
-        assert x.fingerprint().entries == pointwise(x)
+        assert x.fingerprint() == pointwise(x)
 
 
 def unsorted_declared_data(cpp_index):
@@ -682,6 +675,11 @@ twists = st.builds(TateTwist, st.integers(-4, 4), st.integers(-4, 4))
 def test_fast_path_words_equal_the_sorted_construction(wa, ta, wb, tb, k):
     model = real_lattice([], depth=0)  # the words are only built, never evaluated
     a, b = PicElement(model, ta, wa), PicElement(model, tb, wb)
+    # a list of pairs adds up the powers of a repeated atom
+    sums = Counter()
+    for atom, c in wa:
+        sums[atom] += c
+    assert dict(a.word) == {atom: c for atom, c in sums.items() if c}
     counts = Counter(dict(a.word))
     counts.update(dict(b.word))
     cases = [

@@ -1,4 +1,5 @@
-"""The scripts run from a clean checkout, without PYTHONPATH."""
+"""The scripts run from a clean checkout, without PYTHONPATH, and print
+exactly the text below; the output does not depend on the hash seed."""
 
 import os
 import subprocess
@@ -6,6 +7,44 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+ACCEPTANCE_OUTPUT = """\
+PASS criterion 1: two-oracle agreement (90 forms x 140 extensions, 12600 exact matches)
+PASS criterion 2: inverse law (90 forms constant over 140 extensions)
+PASS criterion 3: flag independence (34 quadrics, 1197 flags, all elements identical)
+PASS criterion 4: det telescoping (47 quadrics x 118 extensions, 5546 matches)
+PASS criterion 5: relations cross-check (200 seeded pairs, zero disagreements, 115 equal mod Tate)
+PASS criterion 6: real Pfister basis (32 determinants expanded and fingerprint-verified exactly)
+PASS criterion 7: independence certificates (certified in descending Pfister order with nonzero witnesses; degenerate family refused)
+PASS criterion 8: motivic equivalence criterion (595 pairs, verdicts identical on each (34 equivalent))
+PASS criterion 9: model validation (real lattice (dim<=16, depth 4, 476 extensions) clean; 100 mutants caught)
+"""
+
+DEMO_OUTPUT = """\
+lattice: 36 extensions
+
+twist of e^(5,0) along the lattice (tower | closed form):
+  base                     slot 1:     (4)[9] |     (4)[9]
+  base/(2,0)               slot 5:     (2)[5] |     (2)[5]
+  base/(3,0)               slot 5:     (2)[5] |     (2)[5]
+  base/(3,0)/(2,0)         slot 5:     (2)[5] |     (2)[5]
+  base/(4,0)               slot 5:     (2)[5] |     (2)[5]
+  base/(4,0)/(2,0)         slot 5:     (2)[5] |     (2)[5]
+  base/(5,0)               slot 2:     (1)[2] |     (1)[2]
+  base/(5,0)/(2,0)         slot 5:     (2)[5] |     (2)[5]
+
+independence of the Pfister pure parts:
+  eliminate e[(0,8)] via base/(9,0): (7)[15]
+  eliminate e[(0,4)] via base/(5,0): (3)[7]
+  eliminate e[(0,2)] via base/(3,0): (1)[3]
+  eliminate e[(0,1)] via base/(2,0): (0)[1]
+
+basis expansions of det(Q):
+  det Q[(4,0)] -> r2: -2   (tate (6)[14])
+  det Q[(8,0)] -> r3: -4   (tate (28)[60])
+  det Q[(6,2)] -> r2: -2   (tate (16)[36])
+  e[(0,4)]     -> r2: 1, r3: -1   (tate (4)[8])
+"""
 
 
 def _run(script: str, cwd) -> subprocess.CompletedProcess:
@@ -19,9 +58,8 @@ def _run(script: str, cwd) -> subprocess.CompletedProcess:
 def test_scripts_run_without_pythonpath(tmp_path):
     acceptance = _run("run_acceptance.py", tmp_path)
     assert (acceptance.returncode, acceptance.stderr) == (0, "")
-    lines = acceptance.stdout.splitlines()
-    assert len(lines) == 9 and all(line.startswith("PASS criterion") for line in lines)
+    assert acceptance.stdout == ACCEPTANCE_OUTPUT
 
     demo = _run("real_picard_demo.py", tmp_path)
     assert (demo.returncode, demo.stderr) == (0, "")
-    assert demo.stdout.startswith("lattice: ")
+    assert demo.stdout == DEMO_OUTPUT

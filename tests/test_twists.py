@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from quadpic import (
     ModelError,
-    PhiFingerprint,
     ProjectiveQuadric,
     QuadraticForm,
     TateTwist,
@@ -266,14 +265,6 @@ def test_declared_summands_have_no_ratio_data():
     orphan = Summand(ClassKey("(3,0)", 0), 0, "declared")
     with pytest.raises(ModelError):
         phi_ratio_summand(orphan, model.base, model)
-
-
-def test_fingerprint_algebra():
-    a = PhiFingerprint({"base": TateTwist(1, 2), "e": TateTwist(3, 4)})
-    assert a.to_json() == {"base": {"x": 1, "y": 2}, "e": {"x": 3, "y": 4}}
-    # equality compares entries, never identity
-    assert a == PhiFingerprint(a.entries)
-    assert a != PhiFingerprint({"base": TateTwist(1, 2), "e": TateTwist(9, 9)})
 
 
 def _both_backends():
