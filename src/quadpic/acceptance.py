@@ -42,6 +42,24 @@ class CriterionResult:
         return f"{status} criterion {self.number}: {self.title} ({self.detail})"
 
 
+# the title of each criterion, by number
+TITLES = {
+    1: "two-oracle agreement",
+    2: "inverse law",
+    3: "flag independence",
+    4: "det telescoping",
+    5: "relations cross-check",
+    6: "real Pfister basis",
+    7: "independence certificates",
+    8: "motivic equivalence criterion",
+    9: "model validation",
+}
+
+
+def _result(number: int, passed: bool, detail: str) -> CriterionResult:
+    return CriterionResult(number, TITLES[number], passed, detail)
+
+
 def real_forms(max_dim: int) -> list[QuadraticForm]:
     """Every real signature with 1 <= dim <= max_dim."""
     return [
@@ -73,13 +91,13 @@ def criterion_1(max_dim: int = 12, depth: int = 3) -> CriterionResult:
             )
             want = phi_affine(q, token, model)
             if got != want:
-                return CriterionResult(
-                    1, "two-oracle agreement", False,
+                return _result(
+                    1, False,
                     f"{q.key} at {token}: tower {got.render()} vs sum {want.render()}",
                 )
             checks += 1
-    return CriterionResult(
-        1, "two-oracle agreement", True,
+    return _result(
+        1, True,
         f"{len(forms)} forms x {len(model.extension_tokens())} extensions, {checks} exact matches",
     )
 
@@ -92,12 +110,12 @@ def criterion_2(max_dim: int = 12, depth: int = 3) -> CriterionResult:
         report = inverse_identity_check(q, model)
         if not report.ok:
             token, value = report.failures[0]
-            return CriterionResult(
-                2, "inverse law", False,
+            return _result(
+                2, False,
                 f"{q.key} at {token}: {value.render()} != {report.expected.render()}",
             )
-    return CriterionResult(
-        2, "inverse law", True,
+    return _result(
+        2, True,
         f"{len(forms)} forms constant over {len(model.extension_tokens())} extensions",
     )
 
@@ -113,23 +131,14 @@ def criterion_3(max_quadric_dim: int = 8) -> CriterionResult:
         flipped = det(ProjectiveQuadric(q.negated()), model)
         verdict = reference.equality(flipped)
         if not (verdict.equal and verdict.exact):
-            return CriterionResult(
-                3, "flag independence", False,
-                f"{q.key}: the two quadric orientations disagree",
-            )
+            return _result(3, False, f"{q.key}: the two quadric orientations disagree")
         for flag in all_flags(q):
             other = det(quadric, model, flag=flag)
             verdict = reference.equality(other)
             if not (verdict.equal and verdict.exact):
-                return CriterionResult(
-                    3, "flag independence", False,
-                    f"{q.key} flag {[f.key for f in flag]}: {verdict.reason}",
-                )
+                return _result(3, False, f"{q.key} flag {[f.key for f in flag]}: {verdict.reason}")
             flags_checked += 1
-    return CriterionResult(
-        3, "flag independence", True,
-        f"{len(forms)} quadrics, {flags_checked} flags, all elements identical",
-    )
+    return _result(3, True, f"{len(forms)} quadrics, {flags_checked} flags, all elements identical")
 
 
 def criterion_4(max_quadric_dim: int = 10, depth: int = 3) -> CriterionResult:
@@ -142,12 +151,10 @@ def criterion_4(max_quadric_dim: int = 10, depth: int = 3) -> CriterionResult:
         element = det(quadric, model)
         for token in model.extension_tokens():
             if element.value_at(token) != phi_det(quadric, token, model):
-                return CriterionResult(
-                    4, "det telescoping", False, f"{q.key} at {token}"
-                )
+                return _result(4, False, f"{q.key} at {token}")
             checks += 1
-    return CriterionResult(
-        4, "det telescoping", True,
+    return _result(
+        4, True,
         f"{len(forms)} quadrics x {len(model.extension_tokens())} extensions, {checks} matches",
     )
 
@@ -191,18 +198,13 @@ def criterion_5(pairs: int = 200, seed: int = DEFAULT_SEED) -> CriterionResult:
         try:
             verdict = relations_check(lhs, rhs, model)
         except DisagreementError as exc:
-            return CriterionResult(
-                5, "relations cross-check", False, f"pair {i}: {exc}"
-            )
+            return _result(5, False, f"pair {i}: {exc}")
         if expect_equal and not verdict.fingerprint_equal_mod_tate:
-            return CriterionResult(
-                5, "relations cross-check", False,
-                f"pair {i}: Tate-equivalent rewriting judged unequal",
-            )
+            return _result(5, False, f"pair {i}: Tate-equivalent rewriting judged unequal")
         if verdict.fingerprint_equal_mod_tate:
             equivalent_pairs += 1
-    return CriterionResult(
-        5, "relations cross-check", True,
+    return _result(
+        5, True,
         f"{pairs} seeded pairs, zero disagreements, {equivalent_pairs} equal mod Tate",
     )
 
@@ -218,20 +220,14 @@ def criterion_6(max_dim: int = 16, maxr: int = 4) -> CriterionResult:
         try:
             expansion = basis_real(element, maxr)
         except (ModelError, DisagreementError) as exc:
-            return CriterionResult(6, "real Pfister basis", False, f"{q.key}: {exc}")
+            return _result(6, False, f"{q.key}: {exc}")
         expansions += 1
         r = q.dim.bit_length() - 1
         if q.dim == 2**r and q.pos == q.dim:
             want = -(2 ** (r - 1)) if r >= 1 else 0
             if expansion.coefficient(r) != want or len(expansion.coords) > (1 if r else 0):
-                return CriterionResult(
-                    6, "real Pfister basis", False,
-                    f"det of the {r}-fold Pfister quadric: {expansion.coords}",
-                )
-    return CriterionResult(
-        6, "real Pfister basis", True,
-        f"{expansions} determinants expanded and fingerprint-verified exactly",
-    )
+                return _result(6, False, f"det of the {r}-fold Pfister quadric: {expansion.coords}")
+    return _result(6, True, f"{expansions} determinants expanded and fingerprint-verified exactly")
 
 
 def criterion_7() -> CriterionResult:
@@ -245,28 +241,24 @@ def criterion_7() -> CriterionResult:
     model = real_lattice(family, depth=1)
     expected_primes = ["(2,0)", "(3,0)", "(5,0)", "(9,0)"]
     if [prime(q).key for q in family] != expected_primes:
-        return CriterionResult(7, "independence certificates", False, "bad family setup")
+        return _result(7, False, "bad family setup")
     cert = independent(family, model)
     if not cert.independent:
-        return CriterionResult(7, "independence certificates", False, "family refused")
+        return _result(7, False, "family refused")
     if cert.order != ("(0,8)", "(0,4)", "(0,2)", "(0,1)"):
-        return CriterionResult(
-            7, "independence certificates", False, f"elimination order {cert.order}"
-        )
+        return _result(7, False, f"elimination order {cert.order}")
     if not all(step.twist for step in cert.steps):
-        return CriterionResult(
-            7, "independence certificates", False, "a witness twist vanished"
-        )
+        return _result(7, False, "a witness twist vanished")
     q = QuadraticForm.real(0, 2)
     q_plus_h = QuadraticForm.real(1, 3)
     refusal = independent([q, q_plus_h], model)
     if refusal.independent or (q.key, q_plus_h.key) not in refusal.pairs:
-        return CriterionResult(
-            7, "independence certificates", False,
+        return _result(
+            7, False,
             "degenerate family not refused with the stably-birational pair named",
         )
-    return CriterionResult(
-        7, "independence certificates", True,
+    return _result(
+        7, True,
         "certified in descending Pfister order with nonzero witnesses; degenerate family refused",
     )
 
@@ -283,15 +275,9 @@ def criterion_8(max_quadric_dim: int = 8, depth: int = 3) -> CriterionResult:
                 if motivically_equivalent(p, q, model):
                     equal += 1
             except DisagreementError as exc:
-                return CriterionResult(
-                    8, "motivic equivalence criterion", False,
-                    f"{p.key} vs {q.key}: {exc}",
-                )
+                return _result(8, False, f"{p.key} vs {q.key}: {exc}")
             pairs += 1
-    return CriterionResult(
-        8, "motivic equivalence criterion", True,
-        f"{pairs} pairs, verdicts identical on each ({equal} equivalent)",
-    )
+    return _result(8, True, f"{pairs} pairs, verdicts identical on each ({equal} equivalent)")
 
 
 def _mutate(data: dict, rng: random.Random, family: str) -> dict | None:
@@ -346,10 +332,7 @@ def criterion_9(mutants: int = 100, seed: int = DEFAULT_SEED) -> CriterionResult
     big = real_lattice(real_forms(16), depth=4)
     report = big.validate()
     if not report.ok:
-        return CriterionResult(
-            9, "model validation", False,
-            f"real backend violation: {report.violations[0].render()}",
-        )
+        return _result(9, False, f"real backend violation: {report.violations[0].render()}")
     fixture = lattice_to_data(real_lattice(real_forms(6), depth=2))
     rng = random.Random(seed)
     families = ["ceiling", "monotonicity", "step", "self-isotropy"]
@@ -358,18 +341,13 @@ def criterion_9(mutants: int = 100, seed: int = DEFAULT_SEED) -> CriterionResult
         family = families[produced % len(families)]
         mutant = _mutate(fixture, rng, family)
         if mutant is None:
-            return CriterionResult(
-                9, "model validation", False, f"cannot build a {family} mutant"
-            )
+            return _result(9, False, f"cannot build a {family} mutant")
         model = declared_lattice_from_data(mutant, check=False)
         if model.validate().ok:
-            return CriterionResult(
-                9, "model validation", False,
-                f"mutant {produced} ({family}) accepted by validate",
-            )
+            return _result(9, False, f"mutant {produced} ({family}) accepted by validate")
         produced += 1
-    return CriterionResult(
-        9, "model validation", True,
+    return _result(
+        9, True,
         f"real lattice (dim<=16, depth 4, {len(big.extension_tokens())} extensions) clean; "
         f"{mutants} mutants caught",
     )

@@ -15,9 +15,9 @@ import json
 import re
 import sys
 
-from .decomp import DECOMPOSITION_SHAPE, declare_decomposition, registered_decomposition
+from .decomp import check_decomposition, declare_decomposition, registered_decomposition
 from .errors import DisagreementError, ModelError, QuadPicError
-from .fields import check_json, declared_lattice_from_data, parse_model, real_lattice
+from .fields import DEFAULT_DEPTH, declared_lattice_from_data, parse_model, real_lattice
 from .forms import ProjectiveQuadric, QuadraticForm, real_form_from_key
 from .pic import (
     basis_real,
@@ -36,7 +36,6 @@ from .twists import TateTwist, phi_affine
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INVALID = 2
-DEFAULT_DEPTH = 3
 
 
 def _parse_form(literal: str, declared) -> QuadraticForm:
@@ -68,9 +67,9 @@ def _read_model(args):
         if not isinstance(table, dict):
             raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
         for form_id in sorted(table):
-            data = check_json(table[form_id], f"decomps[{json.dumps(form_id)}]",
-                              DECOMPOSITION_SHAPE)
-            declare_decomposition(model.form(form_id), data, model)
+            # a malformed entry is reported before its id is looked up
+            check_decomposition(form_id, table[form_id])
+            declare_decomposition(model.form(form_id), table[form_id], model)
     return model, report
 
 
@@ -405,7 +404,7 @@ def main(argv=None) -> int:
     try:
         _refuse_unread_options(args)
         return args.handler(args)
-    except (QuadPicError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (QuadPicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -19,10 +19,12 @@ Two registries live in the lattice's memos: "decompositions", keyed by
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModelError
+from .fields import check_json
 from .forms import (
     Grassmannian,
     ProjectiveQuadric,
@@ -33,7 +35,7 @@ from .twists import TateTwist
 
 ROST = "rost"
 
-# the JSON shape of a decomposition, as fields.check_json reads it
+# the JSON shape of a decomposition, as check_decomposition reads it
 _SUMMAND_SHAPE = (("class", (("quadric", str, True), ("planes", int, True)), True),
                   ("shift", int, True), ("kind", str, True))
 DECOMPOSITION_SHAPE = (("tates", [(("x", int, True), ("y", int, True))], False),
@@ -56,10 +58,6 @@ class ClassKey:
 
     def to_json(self) -> dict:
         return {"quadric": self.quadric, "planes": self.planes}
-
-    @staticmethod
-    def from_json(data: dict) -> "ClassKey":
-        return ClassKey(data["quadric"], int(data["planes"]))
 
 
 def _find(model, key: ClassKey) -> ClassKey:
@@ -116,10 +114,6 @@ class Summand:
     def to_json(self) -> dict:
         return {"class": self.cls.to_json(), "shift": self.shift, "kind": self.kind}
 
-    @staticmethod
-    def from_json(data: dict) -> "Summand":
-        return Summand(ClassKey.from_json(data["class"]), int(data["shift"]), data["kind"])
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -144,11 +138,19 @@ class Decomposition:
 
     @staticmethod
     def from_json(quadric: str, data: dict) -> "Decomposition":
+        """The decomposition of data that check_decomposition accepts."""
         return Decomposition.make(
             quadric,
             [TateTwist.from_json(t) for t in data.get("tates") or []],
-            [Summand.from_json(s) for s in data.get("summands") or []],
+            [Summand(ClassKey(s["class"]["quadric"], s["class"]["planes"]), s["shift"], s["kind"])
+             for s in data.get("summands") or []],
         )
+
+
+def check_decomposition(form_id: str, data) -> dict:
+    """data, checked against the decomposition JSON shape; a ModelError names
+    the first offending value by its path, decomps["<form id>"]..."""
+    return check_json(data, f"decomps[{json.dumps(form_id)}]", DECOMPOSITION_SHAPE)
 
 
 def _excellent_blocks(model, dim: int, shift: int) -> list[Summand]:
@@ -208,11 +210,13 @@ def _check_rank(dec: Decomposition, form_dim: int) -> None:
 def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
     """Register externally supplied summand data for a declared quadric.
 
-    The form must be a declared form of the model.  Classes are resolved
+    data must fit the decomposition JSON shape (check_decomposition), and
+    the form must be a declared form of the model.  Classes are resolved
     through the stable-birational oracle; the rank bookkeeping must close
     exactly.  Redeclaring with identical data is a no-op, conflicting data
     is an error.
     """
+    check_decomposition(q.key, data)
     if q.is_real:
         raise ModelError(f"declare_decomposition needs a declared form, got real {q.key}")
     # a real lattice may hold a real form whose key the declared id spells
@@ -220,7 +224,7 @@ def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
         raise ModelError(f"declared form {q.key} is not registered")
     known = set(model.form_keys())
     quadric = ProjectiveQuadric(q)
-    dec = data if isinstance(data, Decomposition) else Decomposition.from_json(quadric.key, data)
+    dec = Decomposition.from_json(quadric.key, data)
     resolved = []
     for s in dec.summands:
         if s.cls.quadric not in known:

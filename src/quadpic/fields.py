@@ -251,21 +251,15 @@ class ExtensionLattice:
 
     # ------------------------------------------------------ point oracles
 
-    def has_rational_point(self, quadric: ProjectiveQuadric, n: int, extension: str) -> bool:
+    def has_rational_point(self, grass: Grassmannian, extension: str) -> bool:
         """Point-existence oracle for the Grassmannian G(Q, n)."""
-        if quadric.is_empty or n < 0 or 2 * n > quadric.dim:
-            raise ModelError(
-                f"G({quadric.key},{n}): plane level out of range for dim {quadric.dim}"
-            )
-        return self.witt_index(quadric.canonical_form, extension) > n
+        return self.witt_index(grass.quadric.canonical_form, extension) > grass.planes
 
     def stably_birational(self, x: Grassmannian, y: Grassmannian) -> bool:
         """Mutual rational points over each other's function field."""
         ex = self.extend_by_grassmannian(self.base, x)
         ey = self.extend_by_grassmannian(self.base, y)
-        return self.has_rational_point(y.quadric, y.planes, ex) and self.has_rational_point(
-            x.quadric, x.planes, ey
-        )
+        return self.has_rational_point(y, ex) and self.has_rational_point(x, ey)
 
     # ---------------------------------------------------------- validation
 
@@ -569,7 +563,11 @@ class DeclaredLattice(ExtensionLattice):
 # ------------------------------------------------------------ real builder
 
 
-def real_lattice(forms=(), depth: int = 3) -> RealLattice:
+# the generic-splitting tower depth of a real lattice when none is given
+DEFAULT_DEPTH = 3
+
+
+def real_lattice(forms=(), depth: int = DEFAULT_DEPTH) -> RealLattice:
     """Joint generic-splitting lattice of the given real forms.
 
     Nodes are added breadth-first: below each existing node, one function

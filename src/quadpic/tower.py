@@ -38,12 +38,7 @@ def build_tower(q: QuadraticForm, model=None) -> ProjectorTower:
 
     Declared forms need the model to resolve their prime link.
     """
-    if q.is_real:
-        q_prime = prime(q)
-    elif model is not None:
-        q_prime = model.prime_of(q)
-    else:
-        raise ModelError("a declared form needs the model to resolve its prime")
+    q_prime = prime(q) if model is None else model.prime_of(q)
     quadric = ProjectiveQuadric(q)
     quadric_prime = ProjectiveQuadric(q_prime)
     entries = []
@@ -72,7 +67,7 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
     active = 0
     gap = None
     for i, grass in enumerate(tower.entries, start=1):
-        if model.has_rational_point(grass.quadric, grass.planes, extension):
+        if model.has_rational_point(grass, extension):
             if gap is not None:
                 raise ModelError(
                     f"tower of {form.key}: slot {i} pointed above unpointed "

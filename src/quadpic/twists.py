@@ -77,7 +77,7 @@ class TateTwist(NamedTuple):
 
     @staticmethod
     def from_json(data: dict) -> "TateTwist":
-        return TateTwist(int(data["x"]), int(data["y"]))
+        return TateTwist(data["x"], data["y"])
 
 
 ZERO_TWIST = TateTwist(0, 0)

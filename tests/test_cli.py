@@ -9,6 +9,7 @@ import pytest
 import quadpic
 
 from quadpic import generator_e, lattice_to_data, real_lattice, serialize_model
+from quadpic.acceptance import real_forms
 from quadpic.cli import main
 from quadpic.decomp import Decomposition, decompose_real
 from quadpic.forms import QuadraticForm
@@ -86,6 +87,20 @@ def test_independent_certificate_and_refusal(capsys):
     payload = json.loads(out)
     assert not payload["independent"]
     assert ["(0,2)", "(1,3)"] in payload["pairs"]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_declared_snapshot_certifies_as_the_real_backend_does(tmp_path, capsys, json_flag):
+    # the certificate's witnesses are read through the declared model's
+    # function-field nodes (DeclaredLattice.extend_by_function_field)
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(lattice_to_data(real_lattice(real_forms(4), depth=2))),
+                    encoding="utf-8")
+    request = ["independent", "--forms", "(0,1);(0,2);(0,4)"]
+    real_run = run(capsys, *json_flag, "--lattice-depth", "2", *request)
+    declared_run = run(capsys, *json_flag, "--model", str(path), *request)
+    assert real_run[0] == 0 and "independent" in real_run[1]
+    assert declared_run == real_run
 
 
 def test_equiv_exit_codes(capsys):

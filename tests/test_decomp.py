@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from quadpic import (
     tate_counts,
 )
 from quadpic.acceptance import real_forms
+from quadpic.cli import main
 
 real = QuadraticForm.real
 signatures = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
@@ -273,6 +276,45 @@ def test_declared_summands_have_no_tate_counts():
     dec = declare_decomposition(model.form("c1"), rank2_summand("c1"), model)
     with pytest.raises(ModelError):
         tate_counts(dec.summands[0], "k", model)
+
+
+_CONIC_SUMMAND = {"class": {"quadric": "(2,1)", "planes": 0}, "shift": 0, "kind": "declared"}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"tates": [{"x": 1}]}, 'decomps["(2,1)"].tates[0].y missing'),
+        ({"summands": [{**_CONIC_SUMMAND, "class": {"quadric": "(2,1)"}}]},
+         'decomps["(2,1)"].summands[0].class.planes missing'),
+        ([_CONIC_SUMMAND], 'decomps["(2,1)"] must be an object'),
+        ({"tates": 5}, 'decomps["(2,1)"].tates must be a list'),
+        ({"tates": [{"x": "0", "y": "0"}, {"x": 1, "y": 2}]},
+         'decomps["(2,1)"].tates[0].x must be an integer'),
+        ({"summands": [{**_CONIC_SUMMAND, "shift": "0"}]},
+         'decomps["(2,1)"].summands[0].shift must be an integer'),
+        ({"summands": [{**_CONIC_SUMMAND, "class": {"quadric": "(2,1)", "planes": "0"}}]},
+         'decomps["(2,1)"].summands[0].class.planes must be an integer'),
+    ],
+    ids=["tate-without-y", "class-without-planes", "list", "tates-not-a-list",
+         "string-tate", "string-shift", "string-planes"],
+)
+def test_declare_decomposition_refuses_malformed_data_as_the_cli_does(
+    tmp_path, capsys, data, message
+):
+    snapshot = lattice_to_data(real_lattice([real(2, 1)], depth=0))
+    model = declared_lattice_from_data(snapshot)
+    with pytest.raises(ModelError) as exc:
+        declare_decomposition(model.form("(2,1)"), data, model)
+    assert str(exc.value) == message
+    assert model.memos["decompositions"] == {}
+
+    model_file, decomps_file = tmp_path / "model.json", tmp_path / "decomps.json"
+    model_file.write_text(json.dumps(snapshot), encoding="utf-8")
+    decomps_file.write_text(json.dumps({"(2,1)": data}), encoding="utf-8")
+    code = main(["--model", str(model_file), "--decomps", str(decomps_file),
+                 "decompose", "--form", "(2,1)"])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 def test_decomposition_json_round_trip():

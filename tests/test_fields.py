@@ -155,12 +155,13 @@ def test_token_added_at_a_known_level_answers_from_the_memo():
 
 def test_has_rational_point_examples():
     model = real_lattice([], depth=0)
-    assert model.has_rational_point(quadric(2, 2), 0, model.base)
-    assert not model.has_rational_point(quadric(5, 0), 0, model.base)
+    assert model.has_rational_point(Grassmannian(quadric(2, 2), 0), model.base)
+    assert not model.has_rational_point(Grassmannian(quadric(5, 0), 0), model.base)
     own = model.extend_by_function_field(model.base, quadric(5, 0))
-    assert model.has_rational_point(quadric(5, 0), 0, own)
-    with pytest.raises(ModelError):
-        model.has_rational_point(quadric(5, 0), 2, model.base)
+    assert model.has_rational_point(Grassmannian(quadric(5, 0), 0), own)
+    # the plane range is Grassmannian's rule: G(Q, 2) of a conic is never built
+    with pytest.raises(ValueError, match="plane level out of range"):
+        Grassmannian(quadric(5, 0), 2)
 
 
 def test_stably_birational_examples():

@@ -20,6 +20,10 @@ PASS criterion 8: motivic equivalence criterion (595 pairs, verdicts identical o
 PASS criterion 9: model validation (real lattice (dim<=16, depth 4, 476 extensions) clean; 100 mutants caught)
 """
 
+# --seed reaches every criterion that takes a seed: criterion 5 counts one
+# more pair equal mod Tate at seed 7
+ACCEPTANCE_OUTPUT_SEED_7 = ACCEPTANCE_OUTPUT.replace("115 equal mod Tate", "116 equal mod Tate")
+
 DEMO_OUTPUT = """\
 lattice: 36 extensions
 
@@ -47,10 +51,10 @@ basis expansions of det(Q):
 """
 
 
-def _run(script: str, cwd) -> subprocess.CompletedProcess:
+def _run(script: str, cwd, *args) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / script)],
+        [sys.executable, str(SCRIPTS / script), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -59,6 +63,10 @@ def test_scripts_run_without_pythonpath(tmp_path):
     acceptance = _run("run_acceptance.py", tmp_path)
     assert (acceptance.returncode, acceptance.stderr) == (0, "")
     assert acceptance.stdout == ACCEPTANCE_OUTPUT
+
+    seeded = _run("run_acceptance.py", tmp_path, "--seed", "7")
+    assert (seeded.returncode, seeded.stderr) == (0, "")
+    assert seeded.stdout == ACCEPTANCE_OUTPUT_SEED_7
 
     demo = _run("real_picard_demo.py", tmp_path)
     assert (demo.returncode, demo.stderr) == (0, "")

@@ -119,9 +119,9 @@ def test_active_index_probes_once_per_slot_and_group(monkeypatch):
     probes = []
     oracle = model.has_rational_point
 
-    def counting(quadric, planes, extension):
+    def counting(grass, extension):
         probes.append(extension)
-        return oracle(quadric, planes, extension)
+        return oracle(grass, extension)
 
     monkeypatch.setattr(model, "has_rational_point", counting)
     tower = build_tower(real(5, 2))
