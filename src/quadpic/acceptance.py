@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DisagreementError, ModelError
 from .fields import declared_lattice_from_data, lattice_to_data, parse_construction, real_lattice
@@ -30,8 +30,7 @@ from .twists import phi_affine, phi_det
 DEFAULT_SEED = 20260810
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool

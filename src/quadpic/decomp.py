@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ModelError
 from .fields import check_json
@@ -42,8 +42,7 @@ DECOMPOSITION_SHAPE = (("tates", [(("x", int, True), ("y", int, True))], False),
                        ("summands", [_SUMMAND_SHAPE], False))
 
 
-@dataclass(frozen=True, order=True)
-class ClassKey:
+class ClassKey(NamedTuple):
     """(quadric id, plane level) naming a quadratic Grassmannian."""
 
     quadric: str
@@ -83,13 +82,13 @@ def canonical_class(model, key: ClassKey) -> ClassKey:
     parents = model.memos["classes"]
     if key not in parents:
         roots = sorted({_find(model, k) for k in list(parents)}, key=lambda k: k.sort_key)
-        parents[key] = key
         mine = _grassmannian(model, key)
-        for root in roots:
-            if model.stably_birational(mine, _grassmannian(model, root)):
-                keep, drop = (key, root) if key.sort_key < root.sort_key else (root, key)
-                parents[drop] = keep
-                break
+        # joins after the oracle answers, so a refused key leaves no root; unmatched, it is a root
+        match = next((root for root in roots
+                      if model.stably_birational(mine, _grassmannian(model, root))), key)
+        keep, drop = (key, match) if key.sort_key < match.sort_key else (match, key)
+        parents[key] = key
+        parents[drop] = keep
     return _find(model, key)
 
 
@@ -99,8 +98,7 @@ def parse_rost_kind(kind: str) -> int | None:
     return int(degree) if head == ROST and sep else None
 
 
-@dataclass(frozen=True, order=True)
-class Summand:
+class Summand(NamedTuple):
     """One indecomposable anisotropic summand instance: class, shift, kind."""
 
     cls: ClassKey
@@ -115,8 +113,7 @@ class Summand:
         return {"class": self.cls.to_json(), "shift": self.shift, "kind": self.kind}
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Tate summands plus anisotropic rank-2 summands of one quadric motive."""
 
     quadric: str
@@ -229,7 +226,10 @@ def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
     for s in dec.summands:
         if s.cls.quadric not in known:
             raise ModelError(f"summand class over unknown quadric {s.cls.quadric!r}")
-        resolved.append(Summand(canonical_class(model, s.cls), s.shift, s.kind))
+        try:
+            resolved.append(Summand(canonical_class(model, s.cls), s.shift, s.kind))
+        except ValueError as exc:  # Grassmannian refuses the plane level
+            raise ModelError(str(exc)) from None
     result = Decomposition.make(quadric.key, dec.tates, resolved)
     _check_rank(result, q.dim)
     registry = model.memos["decompositions"]

@@ -44,8 +44,8 @@ from __future__ import annotations
 import functools
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import ModelError
 from .forms import (
@@ -60,8 +60,7 @@ INFINITE_LEVEL = float("inf")
 CONSTRUCTION_BASE = "base"
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(NamedTuple):
     """A node of the lattice.
 
     construction is one of:
@@ -76,8 +75,7 @@ class Extension:
     construction: str
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """A parsed construction string; kind is "" for an unrecognised one."""
 
     kind: str
@@ -121,8 +119,7 @@ def _power_of_two_below(d: int) -> int:
     return 1 << ((d - 1).bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     family: str
     form: str
     extension: str
@@ -132,26 +129,18 @@ class Violation:
         return f"[{self.family}] form {self.form} at {self.extension}: {self.detail}"
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "form": self.form,
-            "extension": self.extension,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    violations: list[Violation]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def render(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(v.render() for v in self.violations)
+        return "\n".join(v.render() for v in self.violations) if self.violations else "ok"
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
@@ -271,7 +260,7 @@ class ExtensionLattice:
         token id) pair, and self-isotropy once per token, whose construction
         names its cell; only a failed check walks the tokens, in report order.
         """
-        report = ValidationReport()
+        report = ValidationReport([])
         keys = self.form_keys()
         forms = [self._forms[k] for k in keys]
         column = {k: i for i, k in enumerate(keys)}

@@ -12,7 +12,7 @@ prime(q) = <1> + (-q) a map with prime(prime(q)) = q + hyperbolic plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 
 from .errors import ModelError
 
@@ -24,30 +24,61 @@ DECLARED = "declared"
 # entry per signature ever asked for
 _REAL_FORMS: dict[tuple[int, int], "QuadraticForm"] = {}
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class QuadraticForm:
+
+def _compare(op):
+    return lambda self, other: (op(self._astuple(), other._astuple())
+                                if other.__class__ is self.__class__ else NotImplemented)
+
+
+class _Value:
+    """Base of the slotted value types below: __init__ sets each field once, and
+    assigning or deleting one raises.  Equality, hashing and order are those of
+    _astuple(), the constructor arguments, within one class only, so a value never
+    equals a tuple; copies and pickles rebuild it through __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _compare, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+    )
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return (self.__class__, self._astuple())
+
+
+class QuadraticForm(_Value):
     """A nondegenerate quadratic form: real signature or declared token.
 
     is_real, dim and key are computed once, when the instance is made, and
     QuadraticForm.real returns one shared instance per signature.
     """
 
-    kind: str
-    pos: int = 0
-    neg: int = 0
-    ident: str = ""
-    declared_dim: int = 0
-    is_real: bool = field(init=False, repr=False, compare=False)
-    dim: int = field(init=False, repr=False, compare=False)
-    # stable identifier: "(p,m)" for real forms, the token otherwise
-    key: str = field(init=False, repr=False, compare=False)
+    # key is the stable identifier: "(p,m)" for real forms, the token otherwise
+    __slots__ = ("kind", "pos", "neg", "ident", "declared_dim", "is_real", "dim", "key")
 
-    def __post_init__(self) -> None:
-        real = self.kind == REAL
-        object.__setattr__(self, "is_real", real)
-        object.__setattr__(self, "dim", self.pos + self.neg if real else self.declared_dim)
-        object.__setattr__(self, "key", f"({self.pos},{self.neg})" if real else self.ident)
+    def __init__(self, kind: str, pos=0, neg=0, ident="", declared_dim=0) -> None:
+        real = kind == REAL
+        _set(self, "kind", kind)
+        _set(self, "pos", pos)
+        _set(self, "neg", neg)
+        _set(self, "ident", ident)
+        _set(self, "declared_dim", declared_dim)
+        _set(self, "is_real", real)
+        _set(self, "dim", pos + neg if real else declared_dim)
+        _set(self, "key", f"({pos},{neg})" if real else ident)
+
+    def _astuple(self) -> tuple:
+        return (self.kind, self.pos, self.neg, self.ident, self.declared_dim)
 
     @staticmethod
     def real(pos: int, neg: int) -> "QuadraticForm":
@@ -116,8 +147,7 @@ def pfister_real(r: int) -> QuadraticForm:
     return QuadraticForm.real(2**r, 0)
 
 
-@dataclass(frozen=True, order=True)
-class ProjectiveQuadric:
+class ProjectiveQuadric(_Value):
     """The smooth projective quadric {q = 0}; dim = dim(q) - 2.
 
     {q = 0} and {-q = 0} are the same variety, so the identity of a real
@@ -126,39 +156,36 @@ class ProjectiveQuadric:
     canonical_form and key are computed once, when the instance is made.
     """
 
-    form: QuadraticForm
-    dim: int = field(init=False, repr=False, compare=False)
-    is_empty: bool = field(init=False, repr=False, compare=False)
-    canonical_form: QuadraticForm = field(init=False, repr=False, compare=False)
-    key: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("form", "dim", "is_empty", "canonical_form", "key")
 
-    def __post_init__(self) -> None:
-        q = self.form
-        if q.is_real and q.neg > q.pos:
-            canonical = q.negated()
-        else:
-            canonical = q
-        object.__setattr__(self, "dim", q.dim - 2)
-        object.__setattr__(self, "is_empty", q.dim < 2)
-        object.__setattr__(self, "canonical_form", canonical)
-        object.__setattr__(self, "key", canonical.key)
+    def __init__(self, form: QuadraticForm) -> None:
+        canonical = form.negated() if form.is_real and form.neg > form.pos else form
+        _set(self, "form", form)
+        _set(self, "dim", form.dim - 2)
+        _set(self, "is_empty", form.dim < 2)
+        _set(self, "canonical_form", canonical)
+        _set(self, "key", canonical.key)
+
+    def _astuple(self) -> tuple:
+        return (self.form,)
 
     def __repr__(self) -> str:
         return f"Quadric[{self.key}]"
 
 
-@dataclass(frozen=True, order=True)
-class Grassmannian:
+class Grassmannian(_Value):
     """G(Q, n): n-dimensional projective subspaces on the quadric Q."""
 
-    quadric: ProjectiveQuadric
-    planes: int
+    __slots__ = ("quadric", "planes")
 
-    def __post_init__(self) -> None:
-        if self.planes < 0 or 2 * self.planes > self.quadric.dim:
-            raise ValueError(
-                f"G({self.quadric.key},{self.planes}): plane level out of range"
-            )
+    def __init__(self, quadric: ProjectiveQuadric, planes: int) -> None:
+        if planes < 0 or 2 * planes > quadric.dim:
+            raise ValueError(f"G({quadric.key},{planes}): plane level out of range")
+        _set(self, "quadric", quadric)
+        _set(self, "planes", planes)
+
+    def _astuple(self) -> tuple:
+        return (self.quadric, self.planes)
 
     def __repr__(self) -> str:
         return f"G[{self.quadric.key},{self.planes}]"

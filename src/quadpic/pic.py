@@ -36,7 +36,7 @@ A wrong entry therefore shows up as a disagreement.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decomp import (
     _on_roots,
@@ -236,8 +236,7 @@ class PicElement:
         }
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
+class EqualityVerdict(NamedTuple):
     equal: bool
     exact: bool
     reason: str
@@ -373,8 +372,7 @@ def all_flags(form: QuadraticForm):
 # ------------------------------------------------------------- inverse law
 
 
-@dataclass(frozen=True)
-class InverseCheckReport:
+class InverseCheckReport(NamedTuple):
     form: str
     expected: TateTwist
     failures: tuple[tuple[str, TateTwist], ...]
@@ -411,8 +409,7 @@ def inverse_identity_check(q: QuadraticForm, model) -> InverseCheckReport:
 # ---------------------------------------------------------- independence
 
 
-@dataclass(frozen=True)
-class CertificateStep:
+class CertificateStep(NamedTuple):
     form: str
     witness: str
     twist: TateTwist
@@ -421,13 +418,10 @@ class CertificateStep:
         return {"form": self.form, "witness": self.witness, "twist": self.twist.to_json()}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     steps: tuple[CertificateStep, ...]
 
-    @property
-    def independent(self) -> bool:
-        return True
+    independent = True
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -437,14 +431,11 @@ class Certificate:
         return {"independent": True, "order": [s.to_json() for s in self.steps]}
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(NamedTuple):
     reasons: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
 
-    @property
-    def independent(self) -> bool:
-        return False
+    independent = False
 
     def to_json(self) -> dict:
         return {
@@ -538,16 +529,12 @@ def _kernels_equivalent(model, a: QuadraticForm | None, b: QuadraticForm | None)
 # ---------------------------------------------------------------- relations
 
 
-@dataclass(frozen=True)
-class RelationsVerdict:
+class RelationsVerdict(NamedTuple):
     fingerprint_equal_mod_tate: bool
     tate_equivalent: bool
 
     def to_json(self) -> dict:
-        return {
-            "fingerprint_equal_mod_tate": self.fingerprint_equal_mod_tate,
-            "tate_equivalent": self.tate_equivalent,
-        }
+        return self._asdict()
 
 
 def _ensure_towers(model, forms) -> None:
@@ -612,8 +599,7 @@ def motivically_equivalent(p: ProjectiveQuadric, q: ProjectiveQuadric, model) ->
 # ------------------------------------------------------------- real basis
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
+class BasisExpansion(NamedTuple):
     """Coordinates over the definite Pfister generators, plus a Tate twist."""
 
     coords: tuple[tuple[int, int], ...]

@@ -15,16 +15,15 @@ routes compares two separate computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ModelError
 from .forms import Grassmannian, ProjectiveQuadric, QuadraticForm, prime
 from .twists import TateTwist
 
 
-@dataclass(frozen=True)
-class ProjectorTower:
+class ProjectorTower(NamedTuple):
     form: QuadraticForm
     entries: tuple[Grassmannian, ...]
 

@@ -317,6 +317,26 @@ def test_declare_decomposition_refuses_malformed_data_as_the_cli_does(
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
+def test_a_refused_summand_class_leaves_no_root_behind():
+    # the refused key used to join the union-find before its Grassmannian was
+    # built, and every later key was compared against it and refused in turn
+    model = declared_lattice_from_data(lattice_to_data(real_lattice(real_forms(4), depth=2)))
+    form = model.form("(2,1)")
+
+    def summand(quadric, planes):
+        return {"summands": [{"class": {"quadric": quadric, "planes": planes},
+                              "shift": 0, "kind": "rost:2"}]}
+
+    with pytest.raises(ModelError) as exc:
+        declare_decomposition(form, summand("(3,0)", 3), model)
+    assert str(exc.value) == "G((3,0),3): plane level out of range"
+    assert model.memos["classes"] == {}
+    assert model.memos["decompositions"] == {}
+    dec = declare_decomposition(form, summand("(2,1)", 0), model)
+    assert [s.cls.render() for s in dec.summands] == ["(2,1)#0"]
+    assert list(model.memos["classes"]) == [dec.summands[0].cls]
+
+
 def test_decomposition_json_round_trip():
     from quadpic.decomp import Decomposition
 
