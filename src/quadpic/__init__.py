@@ -15,7 +15,6 @@ from .decomp import (
     decompose_real,
     registered_decomposition,
     t_equivalent,
-    tate_counts,
 )
 from .errors import DisagreementError, ModelError, QuadPicError
 from .fields import (
@@ -60,12 +59,6 @@ from .pic import (
     tate_element,
 )
 from .tower import ProjectorTower, active_index, build_tower, twist_readoff
-from .twists import (
-    TateTwist,
-    ZERO_TWIST,
-    phi_affine,
-    phi_det,
-    phi_ratio_summand,
-)
+from .twists import TateTwist, ZERO_TWIST, phi_affine, phi_det
 
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ hyperbolic part as Tate pairs, then peel Pfister-neighbour blocks of rank-2
 summands (kind rost:r, the two constituents sitting at T and
 T(2^(r-1)-1)[2^r-2]), recursing on the complementary dimension.  The
 recursion is not assumed correct: the Witt-consistency invariant ties it to
-the level model at every extension and is part of the test suite.
+the level model at every extension.  That check lives in the test suite
+(tests/test_decomp.py), with its per-summand Tate counts and twist ratios
+in tests/summand_reference.py.
 
 Two registries live in the lattice's memos: "decompositions", keyed by
 (quadric key, is_real), and "classes", the union-find parents.
@@ -104,10 +106,6 @@ class Summand(NamedTuple):
     cls: ClassKey
     shift: int
     kind: str
-
-    @property
-    def rost_degree(self) -> int | None:
-        return parse_rost_kind(self.kind)
 
     def to_json(self) -> dict:
         return {"class": self.cls.to_json(), "shift": self.shift, "kind": self.kind}
@@ -254,26 +252,6 @@ def registered_decomposition(quadric: ProjectiveQuadric, model) -> Decomposition
     if real:
         return decompose_real(quadric.canonical_form, model)
     raise ModelError(f"no declared decomposition registered for {quadric.key}")
-
-
-def tate_counts(summand: Summand, extension, model) -> tuple[list[int], list[int]]:
-    """Upper and lower Tate positions split off a summand at an extension.
-
-    A rost:r block splits exactly when the r-fold definite Pfister form is
-    hyperbolic there; the two constituents then sit at shift + 2^(r-1) - 1
-    (upper) and shift (lower).  Declared summands carry no constituent
-    gradings, so they have no computable counts, and a declared lattice
-    refuses the real Pfister form.
-    """
-    r = summand.rost_degree
-    if r is None:
-        raise ModelError(
-            f"summand {summand.cls.render()} has no constituent grading data"
-        )
-    split = model.witt_index(pfister_real(r), extension) == 2 ** (r - 1)
-    if not split:
-        return ([], [])
-    return ([summand.shift + 2 ** (r - 1) - 1], [summand.shift])
 
 
 def class_vector(decs) -> Counter:

@@ -563,7 +563,8 @@ def real_lattice(forms=(), depth: int = DEFAULT_DEPTH) -> RealLattice:
     field per distinct anisotropic kernel quadric of a registered form, up
     to the given tower depth.  A node's children depend only on its level,
     so each round works them out at the first node of each level and gives
-    the other nodes of that level the same children.
+    the other nodes of that level the same children.  The build stops early,
+    before the given depth, once a round adds no node.
     """
     model = RealLattice()
     model.add_extension(Extension("base", None, CONSTRUCTION_BASE), level=INFINITE_LEVEL)
@@ -571,6 +572,8 @@ def real_lattice(forms=(), depth: int = DEFAULT_DEPTH) -> RealLattice:
         model.register_form(q)
     frontier = [model.base]
     for _ in range(depth):
+        if not frontier:  # the last round added no node, so no later one can
+            break
         next_frontier = []
         round_keys = model.form_keys()
         # level -> (quadric key, child level) per distinct kernel, in key order

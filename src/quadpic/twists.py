@@ -128,19 +128,3 @@ def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
         memo[key] = value
     return value
 
-
-def phi_ratio_summand(summand, extension, model) -> TateTwist:
-    """Twist ratio of an indecomposable summand at an extension.
-
-    Upper Tate constituents T(l)[2l] contribute (l)[2l]; lower ones divide
-    out as (l)[2l-1].  Invariant under Tate shifts of the summand.
-    """
-    from .decomp import tate_counts
-
-    upper, lower = tate_counts(summand, extension, model)
-    total = ZERO_TWIST
-    for l in upper:
-        total = total + TateTwist(l, 2 * l)
-    for l in lower:
-        total = total - TateTwist(l, 2 * l - 1)
-    return total

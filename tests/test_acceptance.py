@@ -15,27 +15,27 @@ def _check(result):
 
 
 def test_criterion_1_two_oracle_agreement():
-    _check(acceptance.criterion_1(max_dim=12, depth=3))
+    _check(acceptance.criterion_1())
 
 
 def test_criterion_2_inverse_law():
-    _check(acceptance.criterion_2(max_dim=12, depth=3))
+    _check(acceptance.criterion_2())
 
 
 def test_criterion_3_flag_independence():
-    _check(acceptance.criterion_3(max_quadric_dim=8))
+    _check(acceptance.criterion_3())
 
 
 def test_criterion_4_det_telescoping():
-    _check(acceptance.criterion_4(max_quadric_dim=10, depth=3))
+    _check(acceptance.criterion_4())
 
 
 def test_criterion_5_relations_cross_check():
-    _check(acceptance.criterion_5(pairs=200, seed=acceptance.DEFAULT_SEED))
+    _check(acceptance.criterion_5(seed=acceptance.DEFAULT_SEED))
 
 
 def test_criterion_6_real_pfister_basis():
-    _check(acceptance.criterion_6(max_dim=16, maxr=4))
+    _check(acceptance.criterion_6())
 
 
 def test_criterion_7_independence_certificates():
@@ -43,8 +43,8 @@ def test_criterion_7_independence_certificates():
 
 
 def test_criterion_8_motivic_equivalence():
-    _check(acceptance.criterion_8(max_quadric_dim=8, depth=3))
+    _check(acceptance.criterion_8())
 
 
 def test_criterion_9_model_validation():
-    _check(acceptance.criterion_9(mutants=100, seed=acceptance.DEFAULT_SEED))
+    _check(acceptance.criterion_9(seed=acceptance.DEFAULT_SEED))

@@ -26,10 +26,10 @@ from quadpic import (
     real_lattice,
     registered_decomposition,
     relations_check,
-    tate_counts,
     tate_element,
 )
 from quadpic.twists import TateTwist
+from summand_reference import tate_counts
 
 real = QuadraticForm.real
 SPELLED = QuadraticForm.declared("(2,1)", 3)  # a declared id that spells a real key

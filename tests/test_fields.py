@@ -231,6 +231,24 @@ def test_real_lattices_always_validate(sigs, depth):
     assert model.validate().ok
 
 
+def test_real_lattice_stops_once_a_round_adds_no_node(monkeypatch):
+    # (1,0) has no function field, so the base is the only node at any depth
+    shallow = lattice_to_data(real_lattice([real(1, 0)], depth=3))
+    form_keys = fields.RealLattice.form_keys
+    rounds = []
+
+    def counted(self):
+        rounds.append(1)
+        assert len(rounds) <= 3, "real_lattice kept going after a round added no node"
+        return form_keys(self)
+
+    monkeypatch.setattr(fields.RealLattice, "form_keys", counted)
+    deep = real_lattice([real(1, 0)], depth=10**6)
+    monkeypatch.undo()
+    assert len(rounds) == 1
+    assert lattice_to_data(deep) == shallow
+
+
 def declared_fixture():
     return lattice_to_data(real_lattice([real(3, 0), real(2, 1)], depth=2))
 

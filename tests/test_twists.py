@@ -17,12 +17,12 @@ from quadpic import (
     lattice_to_data,
     phi_affine,
     phi_det,
-    phi_ratio_summand,
     real_lattice,
 )
 import quadpic.tower
 import quadpic.twists
 from quadpic.twists import split_quadric_sum
+from summand_reference import phi_ratio_summand
 
 real = QuadraticForm.real
 twists = st.builds(TateTwist, st.integers(-50, 50), st.integers(-50, 50))
