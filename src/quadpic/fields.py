@@ -222,21 +222,25 @@ class ExtensionLattice:
         return self._forms.get(q.key) == q
 
     def ancestors(self, token: str) -> frozenset[str]:
-        """Strict ancestors: parents and join constituents, transitively."""
-        cached = self._ancestor_cache.get(token)
+        """Strict ancestors: parents and join constituents, transitively.
+
+        A miss fills the cache for every node not yet in it, parents-first in
+        insertion order and without recursion: each node is added after its
+        parent and its join constituents, so their sets are already there.
+        """
+        cache = self._ancestor_cache
+        cached = cache.get(token)
         if cached is not None:
             return cached
-        ext = self.extension(token)
-        parents = set(parse_construction(ext.construction).parts)
-        if ext.parent is not None:
-            parents.add(ext.parent)
-        out: set[str] = set()
-        for p in parents:
-            out.add(p)
-            out |= self.ancestors(p)
-        result = frozenset(out)
-        self._ancestor_cache[token] = result
-        return result
+        self.extension(token)  # refuses an unknown token
+        for tok, ext in self._extensions.items():
+            if tok in cache:
+                continue
+            parents = set(parse_construction(ext.construction).parts)
+            if ext.parent is not None:
+                parents.add(ext.parent)
+            cache[tok] = frozenset(parents).union(*(cache[p] for p in parents))
+        return cache[token]
 
     # ------------------------------------------------------ point oracles
 

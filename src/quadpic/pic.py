@@ -268,29 +268,25 @@ def generator_e(q: QuadraticForm, model) -> PicElement:
     return PicElement(model, word={(GEN_E, q.key): 1})
 
 
-def _step_generator(upper: QuadraticForm, drop_pos: bool) -> QuadraticForm:
-    """Generator of the affine complement of one flag step below `upper`."""
-    if drop_pos:
-        return QuadraticForm.real(upper.neg, upper.pos - 1)
-    return QuadraticForm.real(upper.pos, upper.neg - 1)
-
-
-def _default_drop(form: QuadraticForm) -> bool:
-    """Flag rule: larger signature coordinate first, ties toward positive."""
-    if form.pos == 0:
-        return False
-    if form.neg == 0:
-        return True
-    return form.pos >= form.neg
+def _subforms(form: QuadraticForm) -> list[QuadraticForm]:
+    """A real form's codimension-1 subforms, positive-drop first; none at dimension 1."""
+    pos, neg = form.pos, form.neg
+    if pos + neg < 2:
+        return []
+    if pos and neg:
+        return [QuadraticForm.real(pos - 1, neg), QuadraticForm.real(pos, neg - 1)]
+    return [QuadraticForm.real(pos - 1, 0) if pos else QuadraticForm.real(0, neg - 1)]
 
 
 def det(quadric: ProjectiveQuadric, model, flag=None) -> PicElement:
     """det(Q): product of step generators along a complete flag of subquadrics.
 
-    The real backend expands through an explicit flag (the default one
-    decrements the larger signature coordinate first); any valid flag yields
-    the same element.  Declared quadrics carry no subform structure, so
-    their det stays an atomic generator.
+    The real backend steps down to dimension 1 through codimension-1
+    subforms: the next flag entry, or else the one dropping the larger
+    signature coordinate (ties drop a positive one).  A step to `lower` adds
+    the generator e^(lower.neg, lower.pos) after a positive drop and e^lower
+    after a negative one.  Any valid flag yields the same element.  Declared
+    quadrics carry no subform structure, so their det stays atomic.
     """
     form = quadric.form
     if not form.is_real:
@@ -312,23 +308,16 @@ def det(quadric: ProjectiveQuadric, model, flag=None) -> PicElement:
     if known is not None:
         return PicElement._of_word(model, ZERO_TWIST, known)
     word: Counter = Counter()
+    steps = iter(chain or ())
     current = form
-    step = 0
     while current.dim >= 2:
-        if chain is not None and step < len(chain):
-            lower = chain[step]
-            drop_pos = lower.pos == current.pos - 1
-        else:
-            drop_pos = _default_drop(current)
-        gen = _step_generator(current, drop_pos)
+        lower = next(steps, None)
+        if lower is None:
+            lower = _subforms(current)[0 if current.pos >= current.neg else -1]
+        gen = QuadraticForm.real(lower.neg, lower.pos) if lower.pos < current.pos else lower
         model.register_form(gen)
         word[(GEN_E, gen.key)] += 1
-        current = (
-            QuadraticForm.real(current.pos - 1, current.neg)
-            if drop_pos
-            else QuadraticForm.real(current.pos, current.neg - 1)
-        )
-        step += 1
+        current = lower
     element = PicElement(model, word=word)
     memo[memo_key] = element.word
     return element
@@ -339,15 +328,11 @@ def _validate_flag(top: QuadraticForm, chain) -> None:
     for entry in chain:
         if not entry.is_real:
             raise ModelError("flags are chains of real subforms")
-        ok_pos = (entry.pos, entry.neg) == (current.pos - 1, current.neg)
-        ok_neg = (entry.pos, entry.neg) == (current.pos, current.neg - 1)
-        if not (ok_pos or ok_neg):
+        if entry not in _subforms(current):
             raise ModelError(
                 f"flag entry {entry.key} is not a codimension-1 subform of {current.key}"
             )
         current = entry
-    if current.dim < 1:
-        raise ModelError("flag descends below dimension 1")
     if current.dim > 2:
         raise ModelError(
             f"flag is not complete: it stops at dimension {current.dim}"
@@ -359,12 +344,7 @@ def all_flags(form: QuadraticForm):
     if form.dim <= 1:
         yield []
         return
-    if form.pos > 0:
-        lower = QuadraticForm.real(form.pos - 1, form.neg)
-        for rest in all_flags(lower):
-            yield [lower] + rest
-    if form.neg > 0:
-        lower = QuadraticForm.real(form.pos, form.neg - 1)
+    for lower in _subforms(form):
         for rest in all_flags(lower):
             yield [lower] + rest
 
@@ -479,19 +459,17 @@ def independent(qs, model):
         for q, p in zip(forms, primes)
     }
     edges: dict[str, set[str]] = {q.key: set() for q in forms}
-    by_key = {q.key: (q, p) for q, p in zip(forms, primes)}
     for qi in forms:
-        for qj in forms:
-            if qi.key == qj.key:
-                continue
-            if model.witt_index(by_key[qj.key][1], witness[qi.key]) > 0:
+        for qj, pj in zip(forms, primes):
+            if qi.key != qj.key and model.witt_index(pj, witness[qi.key]) > 0:
                 edges[qi.key].add(qj.key)
+    by_key = {q.key: q for q in forms}
 
     remaining = set(edges)
     steps = []
     while remaining:
         sinks = sorted(
-            (k for k in remaining if not (edges[k] & (remaining - {k}))),
+            (k for k in remaining if not edges[k] & remaining),
             key=_form_sort_key,
         )
         if not sinks:
@@ -499,7 +477,7 @@ def independent(qs, model):
                 (f"rational-map graph has a cycle among {sorted(remaining)}",), ()
             )
         key = sinks[0]
-        q = by_key[key][0]
+        q = by_key[key]
         twist = phi_affine(q, witness[key], model) - phi_affine(q, model.base, model)
         if not twist:
             raise DisagreementError(
@@ -537,12 +515,6 @@ class RelationsVerdict(NamedTuple):
         return self._asdict()
 
 
-def _ensure_towers(model, forms) -> None:
-    """Build each form's splitting tower; a declared lattice adds nothing."""
-    for q in forms:
-        model.ensure_splitting_tower(q)
-
-
 def det_product(quadrics, model) -> PicElement:
     out = identity(model)
     for quadric in quadrics:
@@ -563,7 +535,8 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
     ps, qs = list(ps), list(qs)
     decs_p = [registered_decomposition(P, model) for P in ps]
     decs_q = [registered_decomposition(Q, model) for Q in qs]
-    _ensure_towers(model, [P.canonical_form for P in ps + qs])
+    for P in ps + qs:
+        model.ensure_splitting_tower(P.canonical_form)
     quotient = det_product(ps, model) * det_product(qs, model) ** -1
     fp_verdict = {value for _, value in _sweep(quotient)} == {quotient.closure_value()}
     tequiv = t_equivalent(decs_p, decs_q, model)
@@ -581,7 +554,8 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
 
 def motivically_equivalent(p: ProjectiveQuadric, q: ProjectiveQuadric, model) -> bool:
     """Same motive: identical Witt profiles, cross-checked against det equality."""
-    _ensure_towers(model, [p.canonical_form, q.canonical_form])
+    for quadric in (p, q):
+        model.ensure_splitting_tower(quadric.canonical_form)
     witt_route = p.dim == q.dim and all(
         model.witt_index(p.canonical_form, group[0])
         == model.witt_index(q.canonical_form, group[0])
@@ -661,9 +635,9 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     for r in sorted(coords):
         expanded = expanded * generators[r] ** coords[r]
     atom_forms = [model.form(key) for (_, key), _ in x.word]
-    _ensure_towers(model, atom_forms)
-    _ensure_towers(model, [model.prime_of(f) for f in atom_forms])
-    _ensure_towers(model, [pfister_real(r) for r in range(1, maxr + 1)])
+    primes = [model.prime_of(f) for f in atom_forms]
+    for f in [*atom_forms, *primes, *map(pfister_real, range(1, maxr + 1))]:
+        model.ensure_splitting_tower(f)
     twist = x.base_value() - expanded.base_value()
     residue = x * (expanded * tate_element(model, twist)) ** -1
     if any(value for _, value in _sweep(residue)):

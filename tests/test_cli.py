@@ -221,6 +221,29 @@ def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert first == "[monotonicity] form a at L3: i_W drops from 2 at L1 to 0"
 
 
+def test_a_chain_deeper_than_the_recursion_limit_is_a_valid_model(tmp_path, capsys):
+    """k < e01500 < e01499 < ... < e00001, named deepest-first: every query
+    walks 1,500 levels of ancestors."""
+    names = [f"e{i:05d}" for i in range(1500, 0, -1)]
+    parents = ["k", *names[:-1]]
+    data = {
+        "forms": [{"id": "c1", "dim": 3}],
+        "extensions": [{"id": "k", "construction": "base"}] + [
+            {"id": tok, "construction": "ff:c1", "parent": parent}
+            for tok, parent in zip(names, parents)
+        ],
+        "witt": [{"form": "c1", "extension": "k", "index": 0}] + [
+            {"form": "c1", "extension": tok, "index": 1} for tok in names
+        ],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_model(data), encoding="utf-8")
+    code, out, _ = run(capsys, "--model", str(path), "validate")
+    assert (code, out.strip()) == (0, "ok")
+    code, out, _ = run(capsys, "--model", str(path), "equiv", "--left", "c1", "--right", "c1")
+    assert (code, out.strip()) == (0, "equivalent")
+
+
 def test_declared_model_commands(tmp_path, capsys):
     data = lattice_to_data(real_lattice([real(3, 0), real(2, 1)], depth=2))
     path = tmp_path / "model.json"

@@ -1,6 +1,9 @@
 import ast
 import copy
+import hashlib
 import inspect
+import json
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -168,6 +171,66 @@ def test_invalid_flags_rejected():
         det(quadric(1, 0), model, flag=[real(1, 0)])
     with pytest.raises(ModelError):
         det(quadric(3, 1), model, flag=[real(3, 0)])  # stops at dimension 3
+
+
+def _reference_det_word(form, chain):
+    """det's word from the step rule: a flag entry, or else drop the larger
+    coordinate (ties drop a positive one); a positive drop to `lower` adds
+    e^(lower.neg, lower.pos), a negative drop adds e^lower."""
+    word = Counter()
+    steps = iter(chain or ())
+    current = form
+    while current.dim >= 2:
+        lower = next(steps, None)
+        if lower is None:
+            if current.pos >= current.neg:
+                lower = real(current.pos - 1, current.neg)
+            else:
+                lower = real(current.pos, current.neg - 1)
+        generator = real(lower.neg, lower.pos) if lower.pos < current.pos else lower
+        word[("e", generator.key)] += 1
+        current = lower
+    return dict(word)
+
+
+def test_det_words_follow_the_step_rule():
+    cases = []
+    for n in range(2, 9):
+        for p in range(n + 1):
+            form = real(p, n - p)
+            cases.append((form, None))
+            for chain in all_flags(form):
+                cases.append((form, chain))
+                if n > 2:
+                    cases.append((form, chain[:-1]))  # stops at dimension 2
+    assert len(cases) == 1054
+    for form, chain in cases:
+        element = det(ProjectiveQuadric(form), real_lattice([], depth=0), flag=chain)
+        assert dict(element.word) == _reference_det_word(form, chain), (form.key, chain)
+
+
+# keys of every all_flags chain, for each (p, m) with 1 <= p + m <= 9 in
+# (dimension, p) order, as json; recorded when the order was last changed
+ALL_FLAGS_DIGEST = "a2b60720ddad1e13e53d6b611798de56ad865c05a79401fab3466f4270ebe14a"
+
+
+def test_all_flags_counts_order_and_acceptance():
+    keys = []
+    model = real_lattice([], depth=0)
+    for n in range(1, 10):
+        for p in range(n + 1):
+            form = real(p, n - p)
+            chains = list(all_flags(form))
+            chain_keys = [[e.key for e in chain] for chain in chains]
+            if n == 1:
+                assert chain_keys == [[]]
+            else:
+                assert len(chains) == math.comb(n - 1, n - p) + math.comb(n - 1, p)
+                assert len({tuple(k) for k in chain_keys}) == len(chains)
+            for chain in chains:
+                det(ProjectiveQuadric(form), model, flag=chain)
+            keys.append(chain_keys)
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == ALL_FLAGS_DIGEST
 
 
 def test_pfister_det_identities():
