@@ -398,8 +398,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
-        # argparse of some Python versions reads "--opt=--" as an empty list
-        if isinstance(value, list):
+        # argparse reads "--opt=--" as an empty list before Python 3.13 and as
+        # "--" from 3.13 on; both are refused, so no version takes a value "--"
+        if isinstance(value, list) or value == "--":
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         _refuse_unread_options(args)

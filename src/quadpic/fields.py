@@ -428,6 +428,18 @@ class RealLattice(ExtensionLattice):
             level = min(level, _power_of_two_below(form.dim))
         return self.add_extension(Extension(child, extension, f"ff:{quadric.key}"), level)
 
+    def _kernel_walk(self, q: QuadraticForm, start: str, planes: int) -> list[str]:
+        """start, then the function field of q's current anisotropic kernel
+        over the last node, until q has a planes-plane there, that is, until
+        the kernel is shorter than q.dim - 2 * planes."""
+        tower = [start]
+        shortest = q.dim - 2 * planes
+        while True:
+            kernel = self.anisotropic_part(q, tower[-1])
+            if kernel is None or kernel.dim < shortest:
+                return tower
+            tower.append(self.extend_by_function_field(tower[-1], ProjectiveQuadric(kernel)))
+
     def extend_by_grassmannian(self, extension: str, grass: Grassmannian) -> str:
         """Function field of G(Q, n), via the stably equivalent flag tower.
 
@@ -435,25 +447,11 @@ class RealLattice(ExtensionLattice):
         iterated quadric fibration; each non-rational fiber is the quadric of
         the current anisotropic kernel.
         """
-        form = grass.quadric.canonical_form
-        cur = extension
-        for t in range(grass.planes + 1):
-            if self.witt_index(form, cur) > t:
-                continue
-            kernel = self.anisotropic_part(form, cur)
-            cur = self.extend_by_function_field(cur, ProjectiveQuadric(kernel))
-        return cur
+        return self._kernel_walk(grass.quadric.canonical_form, extension, grass.planes)[-1]
 
     def ensure_splitting_tower(self, q: QuadraticForm) -> list[str]:
         """Generic splitting tower of q from the base; returns its tokens."""
-        tower = [self.base]
-        cur = self.base
-        while True:
-            kernel = self.anisotropic_part(q, cur)
-            if kernel is None or kernel.dim < 2:
-                return tower
-            cur = self.extend_by_function_field(cur, ProjectiveQuadric(kernel))
-            tower.append(cur)
+        return self._kernel_walk(q, self.base, q.dim // 2 - 1)
 
 
 class DeclaredLattice(ExtensionLattice):
@@ -686,7 +684,10 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
     model = DeclaredLattice()
 
     for item in forms:
-        q = QuadraticForm.declared(item["id"], item["dim"])
+        try:
+            q = QuadraticForm.declared(item["id"], item["dim"])
+        except ValueError as exc:  # an empty id or a dim below 1
+            raise ModelError(str(exc)) from None
         if q.key in model._forms:
             raise ModelError(f"duplicate form id {q.key!r}")
         model.register_form(q)
@@ -712,21 +713,34 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
             parts[token] = parse_construction(item["construction"]).parts
         except ModelError as exc:
             raise ModelError(f"extension {token!r}: {exc}") from None
-    # an extension is placed after its parent and its join constituents, so
-    # nothing on a cycle through either is ever placed; add_extension refuses
-    # a reference that names no extension at all
-    while pending:
-        progressed = False
-        for token in sorted(pending):
-            item = pending[token]
-            parent = item.get("parent")
-            if parent in pending or any(part in pending for part in parts[token]):
-                continue
-            model.add_extension(Extension(token, parent, item["construction"]))
-            del pending[token]
-            progressed = True
-        if not progressed:
-            raise ModelError(f"parent graph has a cycle through {sorted(pending)}")
+    # an extension is placed after its parent and its join constituents, in
+    # the order of repeated passes over the pending ids in sorted order: its
+    # pass is that of its latest reference, plus one if that reference sorts
+    # after it.  Kahn's algorithm works the passes out in one walk; nothing
+    # on a cycle through a reference is ever placed, and add_extension
+    # refuses a reference that names no extension at all
+    refs = {
+        token: {ref for ref in (item.get("parent"), *parts[token]) if ref in pending}
+        for token, item in pending.items()
+    }
+    waiting = {token: len(found) for token, found in refs.items()}
+    users: dict[str, list[str]] = {token: [] for token in pending}
+    for token, found in refs.items():
+        for ref in found:
+            users[ref].append(token)
+    passes: dict[str, int] = {}
+    ready = [token for token, n in waiting.items() if not n]
+    for token in ready:  # grows as references are placed
+        passes[token] = max((passes[ref] + (ref > token) for ref in refs[token]), default=0)
+        for user in users[token]:
+            waiting[user] -= 1
+            if not waiting[user]:
+                ready.append(user)
+    for token in sorted(passes, key=lambda token: (passes[token], token)):
+        item = pending[token]
+        model.add_extension(Extension(token, item.get("parent"), item["construction"]))
+    if len(passes) < len(pending):
+        raise ModelError(f"parent graph has a cycle through {sorted(pending.keys() - passes)}")
     if model._base is None:
         raise ModelError("declared model has no base extension")
 

@@ -590,13 +590,17 @@ class BasisExpansion(NamedTuple):
 
 
 def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
-    """Expand x over {e^(2^r * <1>)}, r <= maxr, by size-descending elimination.
+    """Expand x over {e^(2^r * <1>)}, r <= maxr, by reading its class vector.
 
-    The largest Pfister degree present in the class vector is peeled with
-    the corresponding generator; the result is verified by a fingerprint
-    round trip (after materializing the splitting towers involved): the
-    quotient of x by the expansion vanishes at every oracle group, so a
-    wrong expansion cannot be returned.
+    Over R the basis is diagonal in the Rost classes: e^(2^r * <1>) has the
+    class vector -[rost:r], since (2^r, 0) decomposes into 2^(r-1) summands
+    of kind rost:r and its prime (2^r, 1), of base Witt index 1, into
+    2^(r-1) - 1 of them, whatever the lattice.  So the coordinate at fold r
+    is minus the count of rost:r in x's class vector.  The expansion is then
+    checked by a fingerprint round trip on the Witt-index route (after
+    materializing the splitting towers involved): the quotient of x by the
+    expansion vanishes at every oracle group, so a wrong expansion cannot be
+    returned.
     """
     model = x.model
     # a declared lattice refuses the real Pfister forms, even where maxr asks for none
@@ -604,36 +608,18 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     vec = x.det_vector()
     if vec is None:
         raise ModelError("missing decompositions for the basis expansion")
-    degrees: dict[int, int] = {}
+    coords: dict[int, int] = {}
     for (cls, kind), n in vec.items():
         r = parse_rost_kind(kind)
         if r is None:
             raise ModelError(f"non-Rost class {cls.render()} in a real element")
-        degrees[r] = n
-
-    coords: dict[int, int] = {}
-    generators: dict[int, PicElement] = {}
-    while degrees:
-        r = max(degrees)
-        if r > maxr:
-            raise ModelError(
-                f"insufficient maxr: class of fold {r} present, maxr = {maxr}"
-            )
-        gen = generator_e(pfister_real(r), model)
-        generators[r] = gen
-        gen_degrees = {parse_rost_kind(kind): n for (_, kind), n in gen.det_vector().items()}
-        lead = gen_degrees[r]
-        if degrees[r] % lead != 0:
-            raise DisagreementError(f"non-integral elimination at fold {r}")
-        c = degrees[r] // lead
-        coords[r] = c
-        for rr, n in gen_degrees.items():
-            degrees[rr] = degrees.get(rr, 0) - c * n
-        degrees = {rr: n for rr, n in degrees.items() if n != 0}
-
+        coords[r] = -n
+    top = max(coords, default=maxr)
+    if top > maxr:
+        raise ModelError(f"insufficient maxr: class of fold {top} present, maxr = {maxr}")
     expanded = identity(model)
     for r in sorted(coords):
-        expanded = expanded * generators[r] ** coords[r]
+        expanded = expanded * generator_e(pfister_real(r), model) ** coords[r]
     atom_forms = [model.form(key) for (_, key), _ in x.word]
     primes = [model.prime_of(f) for f in atom_forms]
     for f in [*atom_forms, *primes, *map(pfister_real, range(1, maxr + 1))]:

@@ -2,7 +2,9 @@ import copy
 import hashlib
 import itertools
 import json
+import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -820,6 +822,107 @@ def test_parentless_extension_is_refused():
     # join constituents alone place a node below them
     assert model.add_extension(Extension("j", None, "join:k")) == "j"
     assert model.ancestors("j") == {"k"}
+
+
+@pytest.mark.parametrize("form, message", [
+    ({"id": "a", "dim": 0}, "declared form 'a' needs dim >= 1"),
+    ({"id": "", "dim": 3}, "declared form needs a nonempty id"),
+])
+def test_declared_loader_refuses_a_bad_form_with_a_model_error(form, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        declared_lattice_from_data({"forms": [form]})
+
+
+def _reference_extension_order(extensions) -> list[str]:
+    """Places extensions as repeated passes over the sorted pending ids, each
+    placing those whose parent and join constituents are placed: the order
+    the loader keeps, and its first error."""
+    model = DeclaredLattice()
+    pending = {item["id"]: item for item in extensions}
+    parts = {
+        token: fields.parse_construction(item["construction"]).parts
+        for token, item in pending.items()
+    }
+    while pending:
+        progressed = False
+        for token in sorted(pending):
+            item = pending[token]
+            parent = item.get("parent")
+            if parent in pending or any(part in pending for part in parts[token]):
+                continue
+            model.add_extension(Extension(token, parent, item["construction"]))
+            del pending[token]
+            progressed = True
+        if not progressed:
+            raise ModelError(f"parent graph has a cycle through {sorted(pending)}")
+    if model._base is None:
+        raise ModelError("declared model has no base extension")
+    return list(model._extensions)
+
+
+def _random_extensions(rng) -> list[dict]:
+    """Extensions over shuffled ids, mostly each below earlier ones; some
+    join, reference themselves, later ids or missing ids, lack a parent or
+    declare a second base."""
+    names = rng.sample([f"x{i:02d}" for i in range(40)], rng.randint(1, 14))
+    extensions = [{"id": names[0], "construction": "base"}]
+    for i, token in enumerate(names[1:], 1):
+        fault = rng.random()
+        if fault < 0.03:
+            extensions.append({"id": token, "construction": "base"})
+            continue
+        pool = names if fault < 0.1 else names[:i] + ["gone"] if fault < 0.13 else names[:i]
+        item = {"id": token, "construction": "ff:c1", "parent": rng.choice(pool)}
+        if rng.random() < 0.3:
+            joined = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+            item["construction"] = "join:" + "|".join(joined)
+            if rng.random() < 0.3:
+                del item["parent"]
+        if fault > 0.98:
+            item.pop("parent", None)
+        extensions.append(item)
+    rng.shuffle(extensions)
+    return extensions
+
+
+def _placement_outcome(load, extensions):
+    try:
+        return "placed", load(extensions)
+    except ModelError as exc:
+        return "refused", str(exc)
+
+
+def test_declared_extensions_are_placed_in_the_order_of_repeated_passes():
+    def load(extensions):
+        model = declared_lattice_from_data({"extensions": extensions}, check=False)
+        return list(model._extensions)
+
+    rng = random.Random(20)
+    seen = {"placed": 0, "refused": 0}
+    for _ in range(1500):
+        extensions = _random_extensions(rng)
+        want = _placement_outcome(_reference_extension_order, extensions)
+        assert _placement_outcome(load, extensions) == want, extensions
+        seen[want[0]] += 1
+    assert min(seen.values()) > 300, seen
+
+
+def test_a_deepest_first_chain_loads_in_linear_time():
+    names = [f"e{i:05d}" for i in range(20000, 0, -1)]
+    data = {
+        "forms": [{"id": "c1", "dim": 3}],
+        "extensions": [{"id": "k", "construction": "base"}] + [
+            {"id": tok, "construction": "ff:c1", "parent": parent}
+            for tok, parent in zip(names, ["k", *names[:-1]])
+        ],
+        "witt": [{"form": "c1", "extension": tok, "index": int(tok != "k")}
+                 for tok in ["k", *names]],
+    }
+    start = time.perf_counter()
+    model = declared_lattice_from_data(data, check=False)
+    elapsed = time.perf_counter() - start
+    assert list(model._extensions) == ["k", *names]
+    assert elapsed < 2.0, f"{elapsed:.2f} s for a 20,000-deep chain"
 
 
 def test_prime_tracks_the_declared_link():

@@ -566,6 +566,25 @@ def test_basis_round_trip_refuses_a_wrong_expansion(monkeypatch):
         basis_real(generator_e(real(0, 4), model), maxr=4)
 
 
+def test_the_pfister_generators_are_diagonal_in_the_rost_classes():
+    # basis_real reads its coordinates off this, whatever the lattice
+    for model in (real_lattice([], depth=0), rich_lattice()):
+        for r in range(1, 7):
+            q = pfister_real(r)
+            assert generator_e(q, model).det_vector() == {(ClassKey(q.key, 0), f"rost:{r}"): -1}
+
+
+def test_basis_round_trip_refuses_wrong_coordinates(monkeypatch):
+    import quadpic.pic as pic
+
+    # every class is read one fold too high, so the coordinates sit on the wrong generators
+    honest = pic.parse_rost_kind
+    monkeypatch.setattr(pic, "parse_rost_kind", lambda kind: honest(kind) + 1)
+    model = rich_lattice()
+    with pytest.raises(DisagreementError, match="basis expansion fails the fingerprint round-trip"):
+        basis_real(generator_e(real(0, 4), model), maxr=5)
+
+
 @given(st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda pm: sum(pm) >= 2))
 @settings(deadline=None, max_examples=25)
 def test_basis_round_trip_reproduces_fingerprints(pm):
