@@ -871,7 +871,11 @@ def _random_extensions(rng) -> list[dict]:
         if fault < 0.03:
             extensions.append({"id": token, "construction": "base"})
             continue
-        pool = names if fault < 0.1 else names[:i] + ["gone"] if fault < 0.13 else names[:i]
+        pool = names[:i]
+        if fault < 0.1:  # itself or a later id too, so maybe a cycle
+            pool = names
+        elif fault < 0.13:  # an id that names no extension
+            pool = names[:i] + ["gone"]
         item = {"id": token, "construction": "ff:c1", "parent": rng.choice(pool)}
         if rng.random() < 0.3:
             joined = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
