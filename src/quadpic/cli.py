@@ -314,12 +314,19 @@ def _cmd_validate(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _depth(text: str) -> int:
+def _int(text: str) -> int | str:
+    """int(text); "--" is returned unconverted, for main to refuse on every version."""
+    if text == "--":
+        return text
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
+
+
+def _depth(text: str) -> int | str:
+    value = _int(text)
+    if value != "--" and value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("basis", help="expand an expression in the Pfister basis")
     cmd.add_argument("--expr", required=True,
                      help='e.g. "det (8,0)" or "e(0,3)^2 * det(4,0)"')
-    cmd.add_argument("--maxr", type=int, required=True)
+    cmd.add_argument("--maxr", type=_int, required=True)
     cmd.set_defaults(handler=_cmd_basis)
 
     cmd = sub.add_parser("validate", help="check the model invariant families")
@@ -399,7 +406,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
         # argparse reads "--opt=--" as an empty list before Python 3.13 and as
-        # "--" from 3.13 on; both are refused, so no version takes a value "--"
+        # "--" from 3.13 on (the int converters pass it through); both are
+        # refused, so no version takes a value "--"
         if isinstance(value, list) or value == "--":
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:

@@ -18,9 +18,10 @@ and the derived extensions:
 
 * DeclaredLattice -- Witt indices come from an explicit table; extensions
   must pre-exist, so it builds no splitting towers.  Tables are checked by
-  validate() against four invariant families (monotonicity, ceiling,
-  codimension-1 step, self-isotropy), each checked once per Witt row id,
-  row-id pair or token; tokens are walked only where a check fails.
+  validate() against four invariant families: the ceiling and the
+  codimension-1 step in one pass over the Witt rows, monotonicity once per
+  row-id pair, self-isotropy once per token; tokens are walked only where a
+  check fails.
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
 oracle memo (witt_index, phi_affine, phi_det, active_index) of a lattice
@@ -32,11 +33,11 @@ they grow the lattice they read.
 Every oracle answer at an extension depends only on its oracle group (see
 oracle_group and token_groups): the level on the real backend, the token
 itself on the declared backend.  Lattice-wide sweeps evaluate once per
-group, real_lattice works out each round's children once per level, and
-every per-extension memo holds one entry per group: the Witt memo here,
-and the memos that the twists and tower layers keep in memos[layer].  decomp
-keeps its registries there too, and pic its det words and atom class
-vectors, keyed by form.  No memo key names a token.
+group, real_lattice works out each round's kernels once per (level,
+pos - neg), and every per-extension memo holds one entry per group: the Witt
+memo here, and the memos that the twists and tower layers keep in
+memos[layer].  decomp keeps its registries there too, and pic its det words
+and atom class vectors, keyed by form.  No memo key names a token.
 """
 
 from __future__ import annotations
@@ -260,9 +261,10 @@ class ExtensionLattice:
         """Check the four invariant families at every (form, extension).
 
         Tokens with equal Witt rows share one row id.  Ceiling and the codim-1
-        step are checked once per row id, monotonicity once per (ancestor id,
-        token id) pair, and self-isotropy once per token, whose construction
-        names its cell; only a failed check walks the tokens, in report order.
+        step are checked together in one pass over the rows, monotonicity once
+        per (ancestor id, token id) pair, and self-isotropy once per token, whose
+        construction names its cell; only a failed check walks the tokens, in
+        report order (for the ceiling and the step, form by form, then by token).
         """
         report = ValidationReport([])
         keys = self.form_keys()
@@ -301,12 +303,25 @@ class ExtensionLattice:
                     form, detail = violation(found, *labels)
                     report.violations.append(Violation(family, form, tok, detail))
 
-        for i, q in enumerate(forms):
-            top = q.dim // 2
-            check("ceiling", enumerate(table),
-                  lambda row: [] if 0 <= row[i] <= top else [f"i_W = {row[i]} outside [0, {top}]"],
-                  by_token, lambda detail: (q.key, detail))
+        # the ceiling and the codim-1 step in one pass over the rows: the
+        # detail of each failed cell, by (row id, form column)
+        tops = [q.dim // 2 for q in forms]
+        links = [(i, column[p.key]) for i, q in enumerate(forms)
+                 if (p := self._registered_prime(q)) is not None]
+        over, off = {}, {}
+        for r, row in enumerate(table):
+            over.update(((r, i), f"i_W = {row[i]} outside [0, {top}]")
+                        for i, top in enumerate(tops) if not 0 <= row[i] <= top)
+            off.update(((r, i), f"i_W({keys[i]}) = {row[i]} vs i_W({keys[j]}) = {row[j]}")
+                       for i, j in links if not row[i] <= row[j] <= row[i] + 1)
 
+        def walk(family, failed):
+            """Report each failed cell at every token of its row, form by form."""
+            for i in sorted({i for _, i in failed}):
+                report.violations.extend(Violation(family, keys[i], tok, failed[r, i])
+                                         for r, tok in by_token if (r, i) in failed)
+
+        walk("ceiling", over)
         pairs = {(row_of[anc], row_of[tok]) for tok in tokens for anc in self.ancestors(tok)}
         check("monotonicity", [((a, b), (table[a], table[b])) for a, b in pairs],
               lambda two: [(key, lo, hi) for key, lo, hi in zip(keys, *two) if lo > hi],
@@ -314,15 +329,7 @@ class ExtensionLattice:
                for tok in tokens for anc in sorted(self.ancestors(tok))),
               lambda drop, anc: (drop[0], f"i_W drops from {drop[1]} at {anc} to {drop[2]}"))
 
-        for i, q in enumerate(forms):
-            q_prime = self._registered_prime(q)
-            if q_prime is None:
-                continue
-            j = column[q_prime.key]
-            check("codim-1-step", enumerate(table),
-                  lambda row: [] if row[i] <= row[j] <= row[i] + 1 else
-                  [f"i_W({q.key}) = {row[i]} vs i_W({q_prime.key}) = {row[j]}"],
-                  by_token, lambda detail: (q.key, detail))
+        walk("codim-1-step", off)
 
         def own_cell(tok):
             own = parse_construction(self._extensions[tok].construction)
@@ -565,8 +572,10 @@ def real_lattice(forms=(), depth: int = DEFAULT_DEPTH) -> RealLattice:
     field per distinct anisotropic kernel quadric of a registered form, up
     to the given tower depth.  A node's children depend only on its level,
     so each round works them out at the first node of each level and gives
-    the other nodes of that level the same children.  The build stops early,
-    before the given depth, once a round adds no node.
+    the other nodes of that level the same children.  A kernel depends only
+    on the level and pos - neg, so each level computes one kernel per value
+    of pos - neg, from the first form in key order that has it.  The build
+    stops early, before the given depth, once a round adds no node.
     """
     model = RealLattice()
     model.add_extension(Extension("base", None, CONSTRUCTION_BASE), level=INFINITE_LEVEL)
@@ -577,7 +586,10 @@ def real_lattice(forms=(), depth: int = DEFAULT_DEPTH) -> RealLattice:
         if not frontier:  # the last round added no node, so no later one can
             break
         next_frontier = []
-        round_keys = model.form_keys()
+        # the first form in key order per pos - neg: the others share its kernels
+        kept: dict[int, QuadraticForm] = {}
+        for q in map(model.form, model.form_keys()):
+            kept.setdefault(q.pos - q.neg, q)
         # level -> (quadric key, child level) per distinct kernel, in key order
         children: dict[float, list[tuple[str, float]]] = {}
         for token in frontier:
@@ -590,8 +602,8 @@ def real_lattice(forms=(), depth: int = DEFAULT_DEPTH) -> RealLattice:
                     ))
                 continue
             known = children[level] = []
-            for key in round_keys:
-                kernel = model.anisotropic_part(model.form(key), token)
+            for q in kept.values():
+                kernel = model.anisotropic_part(q, token)
                 if kernel is None or kernel.dim < 2:
                     continue
                 quadric = ProjectiveQuadric(kernel)

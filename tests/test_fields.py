@@ -251,6 +251,79 @@ def test_real_lattice_stops_once_a_round_adds_no_node(monkeypatch):
     assert lattice_to_data(deep) == shallow
 
 
+def _reference_real_lattice(forms, depth):
+    """real_lattice's rounds with a kernel per registered form, not per pos - neg."""
+    model = fields.RealLattice()
+    model.add_extension(Extension("base", None, "base"), level=fields.INFINITE_LEVEL)
+    for q in forms:
+        model.register_form(q)
+    frontier = [model.base]
+    for _ in range(depth):
+        if not frontier:
+            break
+        next_frontier = []
+        round_keys = model.form_keys()
+        children = {}
+        for token in frontier:
+            level = model.level(token)
+            known = children.get(level)
+            if known is not None:
+                for key, child_level in known:
+                    next_frontier.append(model.add_extension(
+                        Extension(f"{token}/{key}", token, f"ff:{key}"), child_level
+                    ))
+                continue
+            known = children[level] = []
+            for key in round_keys:
+                kernel = model.anisotropic_part(model.form(key), token)
+                if kernel is None or kernel.dim < 2:
+                    continue
+                quadric = ProjectiveQuadric(kernel)
+                if f"{token}/{quadric.key}" in model._extensions:
+                    continue
+                child = model.extend_by_function_field(token, quadric)
+                known.append((quadric.key, model.level(child)))
+                next_frontier.append(child)
+        frontier = next_frontier
+    return model
+
+
+# each signature comes with copies plus hyperbolic planes, so that several
+# registered forms share one pos - neg
+signature_families = st.lists(
+    st.tuples(signatures, st.lists(st.integers(1, 3), max_size=2)), min_size=1, max_size=4
+).map(lambda drawn: [real(p + h, m + h) for (p, m), planes in drawn for h in (0, *planes)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(signature_families, st.integers(0, 3))
+def test_real_lattice_matches_the_per_form_reference_builder(forms, depth):
+    model = real_lattice(forms, depth=depth)
+    reference = _reference_real_lattice(forms, depth)
+    assert lattice_to_data(model) == lattice_to_data(reference)
+    assert model.token_groups() == reference.token_groups()
+    assert list(model._extensions) == list(reference._extensions)
+
+
+def test_real_lattice_computes_one_kernel_per_level_and_difference(monkeypatch):
+    calls = []
+    anisotropic_part = fields.RealLattice.anisotropic_part
+
+    def counted(self, q, extension):
+        # the round of a node is its number of slashes
+        calls.append((extension.count("/"), self.level(extension), q.pos - q.neg))
+        return anisotropic_part(self, q, extension)
+
+    monkeypatch.setattr(fields.RealLattice, "anisotropic_part", counted)
+    model = real_lattice(real_forms(12), depth=2)
+    monkeypatch.undo()
+    differences = {q.pos - q.neg for q in map(model.form, model.form_keys())}
+    levels_per_round = {
+        (tok.count("/"), model.level(tok)) for tok in model.extension_tokens() if tok.count("/") < 2
+    }
+    assert len(calls) == len(set(calls)) == len(levels_per_round) * len(differences)
+
+
 def declared_fixture():
     return lattice_to_data(real_lattice([real(3, 0), real(2, 1)], depth=2))
 
@@ -406,6 +479,25 @@ def test_validate_matches_the_cell_by_cell_reference_on_corrupted_tables():
         got = [(v.family, v.form, v.extension, v.detail) for v in model.validate().violations]
         assert got, edits
         assert got == _reference_violations(model)
+    # seeded corruptions of 1-4 cells of shared, with values up to one past the
+    # ceiling: several forms fail the ceiling and the step at several tokens,
+    # which pins the report order, form by form and then token by token
+    rng = random.Random(21)
+    dims = {f["id"]: f["dim"] for f in shared["forms"]}
+    shared_tokens = [e["id"] for e in shared["extensions"]]
+    spread = {"ceiling": 0, "codim-1-step": 0}
+    for _ in range(240):
+        bad = copy.deepcopy(shared)
+        for _ in range(rng.randint(1, 4)):
+            form = rng.choice(sorted(dims))
+            _set_index(bad, form, rng.choice(shared_tokens), rng.randint(0, dims[form] // 2 + 1))
+        model = declared_lattice_from_data(bad, check=False)
+        got = [(v.family, v.form, v.extension, v.detail) for v in model.validate().violations]
+        assert got == _reference_violations(model)
+        for family in spread:
+            cells = [(form, tok) for fam, form, tok, _ in got if fam == family]
+            spread[family] += len({f for f, _ in cells}) > 1 and len({t for _, t in cells}) > 1
+    assert min(spread.values()) >= 10, spread
 
 
 def test_witt_memo_hit_still_refuses_the_other_backends_forms():
