@@ -17,7 +17,13 @@ import sys
 
 from .decomp import check_decomposition, declare_decomposition, registered_decomposition
 from .errors import DisagreementError, ModelError, QuadPicError
-from .fields import DEFAULT_DEPTH, declared_lattice_from_data, parse_model, real_lattice
+from .fields import (
+    DEFAULT_DEPTH,
+    check_nesting,
+    declared_lattice_from_data,
+    parse_model,
+    real_lattice,
+)
 from .forms import ProjectiveQuadric, QuadraticForm, real_form_from_key
 from .pic import (
     basis_real,
@@ -64,6 +70,7 @@ def _read_model(args):
     if report.ok and args.decomps is not None:
         with open(args.decomps, "r", encoding="utf-8") as handle:
             table = parse_model(handle.read())
+        check_nesting(table)
         if not isinstance(table, dict):
             raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
         for form_id in sorted(table):

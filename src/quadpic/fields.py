@@ -18,10 +18,10 @@ and the derived extensions:
 
 * DeclaredLattice -- Witt indices come from an explicit table; extensions
   must pre-exist, so it builds no splitting towers.  Tables are checked by
-  validate() against four invariant families: the ceiling and the
-  codimension-1 step in one pass over the Witt rows, monotonicity once per
-  row-id pair, self-isotropy once per token; tokens are walked only where a
-  check fails.
+  validate() against four invariant families, each tested once per Witt
+  row or edge (the ceiling per form and the codimension-1 step per prime
+  link over the rows, monotonicity per parent or join edge between rows,
+  self-isotropy per token); only a family that fails walks its cells.
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
 oracle memo (witt_index, phi_affine, phi_det, active_index) of a lattice
@@ -260,16 +260,17 @@ class ExtensionLattice:
     def validate(self) -> ValidationReport:
         """Check the four invariant families at every (form, extension).
 
-        Tokens with equal Witt rows share one row id.  Ceiling and the codim-1
-        step are checked together in one pass over the rows, monotonicity once
-        per (ancestor id, token id) pair, and self-isotropy once per token, whose
-        construction names its cell; only a failed check walks the tokens, in
-        report order (for the ceiling and the step, form by form, then by token).
+        Tokens with equal Witt rows share one row.  Over the rows, the ceiling
+        is tested once per form and the codim-1 step once per prime link;
+        monotonicity once per (row of a parent or join constituent, row of the
+        token) edge, as a drop to an ancestor is a drop along some edge; and
+        self-isotropy once per token, whose construction names its cell.  Only
+        a family that fails walks its cells, in the cell-by-cell report order.
         """
         report = ValidationReport([])
+        violations = report.violations
         keys = self.form_keys()
         forms = [self._forms[k] for k in keys]
-        column = {k: i for i, k in enumerate(keys)}
         tokens = self.extension_tokens()
 
         # the Witt row of each oracle group, in form-key order, evaluated at
@@ -282,8 +283,8 @@ class ExtensionLattice:
                 try:
                     cells[tok].append(self.witt_index(q, tok))
                 except ModelError as exc:
-                    report.violations.append(Violation("table", q.key, tok, str(exc)))
-        if not report.ok:
+                    violations.append(Violation("table", q.key, tok, str(exc)))
+        if violations:
             return report
         # intern the rows: tokens whose rows are equal share one row id
         row_ids: dict[tuple[int, ...], int] = {}
@@ -292,59 +293,48 @@ class ExtensionLattice:
             row_id = row_ids.setdefault(tuple(cells[first]), len(row_ids))
             row_of.update(dict.fromkeys(group, row_id))
         table = list(row_ids)
-        by_token = [(row_of[tok], tok) for tok in tokens]
+        rows = [table[row_of[tok]] for tok in tokens]
 
-        def check(family, subjects, failures, walk, violation):
-            """Run failures once per (key, subject); only where something fails, walk the
-            (key, token, *labels) items, naming violation(found, *labels) at the token."""
-            failed = {key: found for key, subject in subjects if (found := failures(subject))}
-            for key, tok, *labels in walk if failed else ():
-                for found in failed.get(key, ()):
-                    form, detail = violation(found, *labels)
-                    report.violations.append(Violation(family, form, tok, detail))
+        for i, (q, column) in enumerate(zip(forms, zip(*table))):
+            top = q.dim // 2
+            if not 0 <= min(column) <= max(column) <= top:
+                violations.extend(
+                    Violation("ceiling", q.key, tok, f"i_W = {row[i]} outside [0, {top}]")
+                    for tok, row in zip(tokens, rows) if not 0 <= row[i] <= top)
 
-        # the ceiling and the codim-1 step in one pass over the rows: the
-        # detail of each failed cell, by (row id, form column)
-        tops = [q.dim // 2 for q in forms]
-        links = [(i, column[p.key]) for i, q in enumerate(forms)
+        edges = {(row_of[ref], row_of[tok]) for tok, ext in self._extensions.items()
+                 for ref in (ext.parent, *parse_construction(ext.construction).parts)
+                 if ref is not None}
+        if any(lo > hi for a, b in edges for lo, hi in zip(table[a], table[b])):
+            for tok, row in zip(tokens, rows):
+                for anc in sorted(self.ancestors(tok)):
+                    violations.extend(
+                        Violation("monotonicity", key, tok, f"i_W drops from {lo} at {anc} to {hi}")
+                        for key, lo, hi in zip(keys, table[row_of[anc]], row) if lo > hi)
+
+        column_of = {k: i for i, k in enumerate(keys)}
+        links = [(i, column_of[p.key]) for i, q in enumerate(forms)
                  if (p := self._registered_prime(q)) is not None]
-        over, off = {}, {}
-        for r, row in enumerate(table):
-            over.update(((r, i), f"i_W = {row[i]} outside [0, {top}]")
-                        for i, top in enumerate(tops) if not 0 <= row[i] <= top)
-            off.update(((r, i), f"i_W({keys[i]}) = {row[i]} vs i_W({keys[j]}) = {row[j]}")
-                       for i, j in links if not row[i] <= row[j] <= row[i] + 1)
+        for i, j in links:
+            if not all(row[i] <= row[j] <= row[i] + 1 for row in table):
+                violations.extend(
+                    Violation("codim-1-step", keys[i], tok,
+                              f"i_W({keys[i]}) = {row[i]} vs i_W({keys[j]}) = {row[j]}")
+                    for tok, row in zip(tokens, rows) if not row[i] <= row[j] <= row[i] + 1)
 
-        def walk(family, failed):
-            """Report each failed cell at every token of its row, form by form."""
-            for i in sorted({i for _, i in failed}):
-                report.violations.extend(Violation(family, keys[i], tok, failed[r, i])
-                                         for r, tok in by_token if (r, i) in failed)
-
-        walk("ceiling", over)
-        pairs = {(row_of[anc], row_of[tok]) for tok in tokens for anc in self.ancestors(tok)}
-        check("monotonicity", [((a, b), (table[a], table[b])) for a, b in pairs],
-              lambda two: [(key, lo, hi) for key, lo, hi in zip(keys, *two) if lo > hi],
-              (((row_of[anc], row_of[tok]), tok, anc)
-               for tok in tokens for anc in sorted(self.ancestors(tok))),
-              lambda drop, anc: (drop[0], f"i_W drops from {drop[1]} at {anc} to {drop[2]}"))
-
-        walk("codim-1-step", off)
-
-        def own_cell(tok):
+        for tok in tokens:
             own = parse_construction(self._extensions[tok].construction)
             if own.kind not in ("ff", "gff"):
-                return []
+                continue
             try:
                 form = self.form(own.form)
                 value = self.witt_index(form, tok)
             except ModelError as exc:
-                return [(own.form, f"unresolvable: {exc}")]
-            if form.dim < 2 or value > own.planes:
-                return []
-            return [(form.key, f"i_W = {value} over its own function field (need > {own.planes})")]
-
-        check("self-isotropy", zip(tokens, tokens), own_cell, zip(tokens, tokens), lambda x: x)
+                violations.append(Violation("self-isotropy", own.form, tok, f"unresolvable: {exc}"))
+                continue
+            if form.dim >= 2 and value <= own.planes:
+                detail = f"i_W = {value} over its own function field (need > {own.planes})"
+                violations.append(Violation("self-isotropy", form.key, tok, detail))
         return report
 
 
@@ -628,6 +618,14 @@ _SCHEMA = {
 
 _TYPE_NAMES = {str: "a string", int: "an integer"}
 
+# JSON arrays and objects nested deeper than this are refused on every Python
+# version.  Each parser stops at its own depth (about 1,000 levels on 3.10 and
+# 3.11, 1,500 on 3.12, 10,000 on 3.13), so the loaders walk, with
+# check_nesting, each model that they refuse or that has a key outside the
+# schema, and each entry alone that has a key outside its shape
+MAX_NESTING = 500
+_TOO_DEEP = "JSON nests deeper than the parser allows"
+
 
 def check_json(value, path: str, shape):
     """value, checked against shape; an error names the path of the first offending value.
@@ -658,16 +656,19 @@ def _misfit(value, shape) -> tuple[str, str] | None:
 
 def _entries_misfit(entries, fields) -> tuple[int, str, str] | None:
     """(index, path suffix, complaint) for the first entry that does not fit
-    the object shape fields, or None."""
+    the object shape fields, or None; an entry that may hold a key outside
+    fields, whose value nothing reads, goes through check_nesting."""
     for i, entry in enumerate(entries):
         if type(entry) is not dict and not isinstance(entry, dict):
             return i, "", "must be an object"
+        extra = len(entry) - len(fields)  # plus each absent optional field below
         for key, field, required in fields:
             item = entry.get(key)
             if type(item) is field:
                 continue
             if item is None:
                 if not required:
+                    extra += 1
                     continue
                 return i, f".{key}", "missing"
             if field is str or field is int:
@@ -677,7 +678,21 @@ def _entries_misfit(entries, fields) -> tuple[int, str, str] | None:
             problem = _misfit(item, field)
             if problem is not None:
                 return i, f".{key}{problem[0]}", problem[1]
+        if extra > 0:
+            check_nesting(entry)
     return None
+
+
+def check_nesting(value) -> None:
+    """Refuse a JSON value whose arrays and objects nest more than MAX_NESTING deep."""
+    level = [value]  # the values at one depth
+    for _ in range(MAX_NESTING):
+        level = [item for node in level if isinstance(node, (dict, list))
+                 for item in (node.values() if isinstance(node, dict) else node)]
+        if not level:
+            return
+    if any(isinstance(node, (dict, list)) for node in level):
+        raise ModelError(_TOO_DEEP)
 
 
 def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattice:
@@ -689,10 +704,17 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
     invariant families are also enforced, rejecting on any violation.
     """
     if not isinstance(data, dict):
+        check_nesting(data)
         raise ModelError(f"model must be a JSON object, not {type(data).__name__}")
-    forms, extensions, witt = (
-        check_json(data.get(name, []), name, shape) for name, shape in _SCHEMA.items()
-    )
+    if not data.keys() <= _SCHEMA.keys():
+        check_nesting(data)  # a key outside the schema may hold any value
+    try:
+        forms, extensions, witt = (
+            check_json(data.get(name, []), name, shape) for name, shape in _SCHEMA.items()
+        )
+    except ModelError:
+        check_nesting(data)  # a misfit may sit beside deeper nesting elsewhere
+        raise
     model = DeclaredLattice()
 
     for item in forms:
@@ -862,9 +884,10 @@ def parse_model(text: str):
     """The JSON value of a model or --decomps file.
 
     JSON nested deeper than the parser's recursion limit is refused with
-    a ModelError, as any other malformed input is.
+    a ModelError, as any other malformed input is; the loaders refuse
+    shallower nesting past MAX_NESTING with check_nesting.
     """
     try:
         return json.loads(text)
     except RecursionError:
-        raise ModelError("JSON nests deeper than the parser allows") from None
+        raise ModelError(_TOO_DEEP) from None

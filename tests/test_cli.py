@@ -402,6 +402,21 @@ def test_validate_declares_the_decomps_of_a_table_that_validates(tmp_path, capsy
     assert (code, err) == (1, "") and out.startswith("[ceiling] form (3,1) at base:")
 
 
+def test_a_deep_value_in_a_later_decomps_entry_is_refused_for_its_nesting(tmp_path, capsys):
+    # every version parses 900 levels; without a walk, the first entry would
+    # be declared and the second refused for its shape
+    q = real(3, 1)
+    model = tmp_path / "model.json"
+    model.write_text(serialize_model(lattice_to_data(real_lattice([q], depth=1))),
+                     encoding="utf-8")
+    first = decompose_real(q, real_lattice([q], depth=1)).to_json()
+    decomps = tmp_path / "decomps.json"
+    decomps.write_text('{"(3,1)": ' + json.dumps(first) + ', "(4,1)": '
+                       + "[" * 900 + "]" * 900 + "}", encoding="utf-8")
+    assert run(capsys, "--model", str(model), "--decomps", str(decomps), "validate") == (
+        2, "", "error: JSON nests deeper than the parser allows\n")
+
+
 def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert run(capsys, "phi", "--form", "nonsense")[0] == 2
     assert run(capsys, "phi", "--form", "(1,0)", "--ext", "nowhere")[0] == 2

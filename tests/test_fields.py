@@ -33,6 +33,7 @@ from quadpic import (
 from quadpic.acceptance import real_forms
 from quadpic.decomp import DECOMPOSITION_SHAPE
 from quadpic.fields import _SCHEMA, check_json
+from test_cli_corpus import TWINS
 
 real = QuadraticForm.real
 signatures = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
@@ -387,6 +388,21 @@ def test_ceiling_violation_reported():
     assert any(v.family == "ceiling" for v in model.validate().violations)
 
 
+def test_a_lattice_without_a_table_fails_only_the_table_family():
+    model = DeclaredLattice()
+    for key, dim in (("c2", 3), ("c1", 3), ("b", 2)):
+        model.register_form(QuadraticForm.declared(key, dim))
+    for token, parent, construction in [
+        ("k", None, "base"), ("z", "k", "ff:c1"), ("m", "k", "ff:c2"), ("a", "z", "join:z|m"),
+    ]:
+        model.add_extension(Extension(token, parent, construction))
+    got = [(v.family, v.form, v.extension, v.detail) for v in model.validate().violations]
+    assert got == [
+        ("table", key, token, f"no declared Witt index for form {key} at {token}")
+        for key in ("b", "c1", "c2") for token in ("a", "k", "m", "z")
+    ]
+
+
 def test_checked_loading_rejects_invalid_tables():
     data = declared_fixture()
     _set_index(data, "(2,1)", "base", 2)
@@ -461,6 +477,9 @@ def test_validate_matches_the_cell_by_cell_reference_on_corrupted_tables():
     for construction in ("ff:zz", "gff:zz:1", "gff:(3,0):1", "gff:(2,2):2", "gff:(1,3):1"):
         cases.append((_with_extension(data, "X", "base/(3,0)", construction), []))
     cases.append((_with_extension(data, "X", "base", "ff:zz"), [("(3,0)", "X", 2)]))
+    # a join lies above each constituent, not only its parent: c2 drops from
+    # k(c2) to k(c1,c2), and from nowhere else
+    cases.append((TWINS, [("c2", "k(c1)", 0), ("c2", "k(c1,c2)", 0)]))
     # many tokens share each row: corrupt a token whose row others use, and
     # several tokens of one row alike, so that they share the corrupted row
     shared = lattice_to_data(real_lattice(real_forms(6), 2))
@@ -498,6 +517,48 @@ def test_validate_matches_the_cell_by_cell_reference_on_corrupted_tables():
             cells = [(form, tok) for fam, form, tok, _ in got if fam == family]
             spread[family] += len({f for f, _ in cells}) > 1 and len({t for _, t in cells}) > 1
     assert min(spread.values()) >= 10, spread
+    # seeded corruptions of models with joins and gff nodes: TWINS, and shared
+    # with a join of two of its nodes added, corrupted at the join and at them
+    joined = _with_extension(shared, "J", "base/(2,0)", "join:base/(2,0)|base/(4,0)")
+    assert declared_lattice_from_data(joined).validate().ok
+    # the constituent of each join that is not its parent
+    other = {"k(c1,c2)": "k(c2)", "J": "base/(4,0)"}
+    join_drops = 0
+    for source, tokens in (
+        (TWINS, [e["id"] for e in TWINS["extensions"]]),
+        (joined, ["J", "base/(2,0)", "base/(4,0)"]),
+    ):
+        dims = {f["id"]: f["dim"] for f in source["forms"]}
+        for _ in range(120):
+            bad = copy.deepcopy(source)
+            for _ in range(rng.randint(1, 3)):
+                form = rng.choice(sorted(dims))
+                _set_index(bad, form, rng.choice(tokens), rng.randint(0, dims[form] // 2 + 1))
+            model = declared_lattice_from_data(bad, check=False)
+            got = [(v.family, v.form, v.extension, v.detail) for v in model.validate().violations]
+            assert got == _reference_violations(model)
+            join_drops += any(family == "monotonicity" and f"at {other.get(tok)} to" in detail
+                              for family, _, tok, detail in got)
+    assert join_drops >= 10, join_drops
+
+
+def test_validate_reads_ancestors_only_when_an_edge_drops(monkeypatch):
+    data = declared_fixture()
+    joined = _with_extension(data, "J", "base/(2,0)", "join:base/(2,0)|base/(3,0)")
+    calls = []
+    real_ancestors = fields.ExtensionLattice.ancestors
+    monkeypatch.setattr(fields.ExtensionLattice, "ancestors",
+                        lambda self, token: calls.append(token) or real_ancestors(self, token))
+    for source in (data, joined, TWINS):
+        assert declared_lattice_from_data(source).validate().ok
+    assert real_lattice(real_forms(8), 3).validate().ok
+    assert calls == []
+    bad = parse_model(serialize_model(data))
+    deeper = next(e["id"] for e in bad["extensions"] if e.get("parent") not in (None, "base"))
+    _set_index(bad, "(3,0)", deeper, 0)
+    report = declared_lattice_from_data(bad, check=False).validate()
+    assert "monotonicity" in {v.family for v in report.violations}
+    assert calls
 
 
 def test_witt_memo_hit_still_refuses_the_other_backends_forms():
@@ -829,15 +890,54 @@ def test_serialize_model_is_json_dumps_with_sorted_keys_and_indent_two():
 def test_deeply_nested_json_is_a_model_error():
     for depth in (900, 1100):
         text = '{"forms": ' + "[" * depth + "]" * depth + "}"
-        try:
-            data = parse_model(text)
-        except ModelError as exc:
-            assert str(exc) == "JSON nests deeper than the parser allows"
-        else:
-            with pytest.raises(ModelError, match=r"^forms\[0\] must be an object$"):
-                declared_lattice_from_data(data)
+        with pytest.raises(ModelError, match=r"^JSON nests deeper than the parser allows$"):
+            declared_lattice_from_data(parse_model(text))
     with pytest.raises(ModelError, match="deeper than the parser allows"):
         parse_model("[" * 100000 + "]" * 100000)
+
+
+def _nested(depth):
+    """Arrays nested depth deep, as parsed JSON, built without recursion."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_nesting_past_the_bound_is_refused_wherever_it_hides():
+    bound = fields.MAX_NESTING
+    base = {"id": "k", "construction": "base"}
+    form = {"id": "a", "dim": 2, "prime": "b"}
+    forms = [form, {"id": "b", "dim": 3}]
+
+    def models(junk):
+        """Models that hold junk one level below the walked value: the whole
+        model, or an entry with a key outside its shape."""
+        return [
+            [junk],  # refused for its type
+            {"forms": junk},  # a misfit
+            {"forms": forms, "extensions": [base], "witt": [], "notes": junk},
+            # under an entry key outside the shape, beside all of its fields
+            # and beside all but its optional one
+            {"forms": [{**form, "notes": junk}, forms[1]], "extensions": [base]},
+            {"extensions": [{**base, "notes": junk}]},
+            # a shallow misfit in forms beside a deep witt
+            {"forms": [3], "witt": junk},
+        ]
+
+    # between the bound and the smallest parser limit, every version parses
+    # the text and the loader refuses it
+    for depth in (bound, 600, 900):
+        for data in models(_nested(depth)):
+            parsed = parse_model(json.dumps(data))
+            with pytest.raises(ModelError, match=r"^JSON nests deeper than the parser allows$"):
+                declared_lattice_from_data(parsed)
+    # one level shallower, no model is refused for its nesting
+    for data in models(_nested(bound - 1)):
+        try:
+            declared_lattice_from_data(data)
+        except ModelError as exc:
+            assert "nests deeper" not in str(exc)
 
 
 def test_declared_extensions_must_preexist():
