@@ -16,12 +16,14 @@ and the derived extensions:
   per (form, level), so a node added later at a known level is answered
   from the memo.
 
-* DeclaredLattice -- Witt indices come from an explicit table; extensions
-  must pre-exist, so it builds no splitting towers.  Tables are checked by
-  validate() against four invariant families, each tested once per Witt
-  row or edge (the ceiling per form and the codimension-1 step per prime
-  link over the rows, monotonicity per parent or join edge between rows,
-  self-isotropy per token); only a family that fails walks its cells.
+* DeclaredLattice -- Witt indices come from an explicit table, kept as one
+  row per token (form key -> index) that the loader fills in one pass over
+  the model's witt section; extensions must pre-exist, so it builds no
+  splitting towers.  Tables are checked by validate(), which takes each
+  declared row whole, against four invariant families, each tested once
+  per Witt row or edge (the ceiling per form and the codimension-1 step per
+  prime link over the rows, monotonicity per parent or join edge between
+  rows, self-isotropy per token); only a family that fails walks its cells.
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
 oracle memo (witt_index, phi_affine, phi_det, active_index) of a lattice
@@ -265,7 +267,9 @@ class ExtensionLattice:
         monotonicity once per (row of a parent or join constituent, row of the
         token) edge, as a drop to an ancestor is a drop along some edge; and
         self-isotropy once per token, whose construction names its cell.  Only
-        a family that fails walks its cells, in the cell-by-cell report order.
+        a family that fails walks its cells, in the cell-by-cell report order;
+        the monotonicity walk compares each distinct (ancestor row, token row)
+        pair once.
         """
         report = ValidationReport([])
         violations = report.violations
@@ -273,19 +277,22 @@ class ExtensionLattice:
         forms = [self._forms[k] for k in keys]
         tokens = self.extension_tokens()
 
-        # the Witt row of each oracle group, in form-key order, evaluated at
-        # the group's first token
+        # the Witt row of each oracle group, in form-key order, at the group's
+        # first token: taken whole where the backend stores it, else filled
+        # cell by cell, form by form, reporting each cell it cannot read
         groups = {group[0]: group for group in self.token_groups()}
         firsts = [tok for tok in tokens if tok in groups]
-        cells: dict[str, list[int]] = {tok: [] for tok in firsts}
-        for q in forms:
-            for tok in firsts:
-                try:
-                    cells[tok].append(self.witt_index(q, tok))
-                except ModelError as exc:
-                    violations.append(Violation("table", q.key, tok, str(exc)))
-        if violations:
-            return report
+        cells = {tok: self._witt_row(tok, keys) for tok in firsts}
+        if None in cells.values():
+            cells = {tok: [] for tok in firsts}
+            for q in forms:
+                for tok in firsts:
+                    try:
+                        cells[tok].append(self.witt_index(q, tok))
+                    except ModelError as exc:
+                        violations.append(Violation("table", q.key, tok, str(exc)))
+            if violations:
+                return report
         # intern the rows: tokens whose rows are equal share one row id
         row_ids: dict[tuple[int, ...], int] = {}
         row_of: dict[str, int] = {}
@@ -306,11 +313,20 @@ class ExtensionLattice:
                  for ref in (ext.parent, *parse_construction(ext.construction).parts)
                  if ref is not None}
         if any(lo > hi for a, b in edges for lo, hi in zip(table[a], table[b])):
-            for tok, row in zip(tokens, rows):
+            # (key, lo, hi) of each failing column per (ancestor row, token row)
+            drops: dict[tuple[int, int], list[tuple[str, int, int]]] = {}
+            for tok in tokens:
+                below = row_of[tok]
                 for anc in sorted(self.ancestors(tok)):
+                    above = row_of[anc]
+                    failing = drops.get((above, below))
+                    if failing is None:
+                        failing = drops[above, below] = [
+                            (key, lo, hi) for key, lo, hi in zip(keys, table[above], table[below])
+                            if lo > hi]
                     violations.extend(
                         Violation("monotonicity", key, tok, f"i_W drops from {lo} at {anc} to {hi}")
-                        for key, lo, hi in zip(keys, table[row_of[anc]], row) if lo > hi)
+                        for key, lo, hi in failing)
 
         column_of = {k: i for i, k in enumerate(keys)}
         links = [(i, column_of[p.key]) for i, q in enumerate(forms)
@@ -336,6 +352,11 @@ class ExtensionLattice:
                 detail = f"i_W = {value} over its own function field (need > {own.planes})"
                 violations.append(Violation("self-isotropy", form.key, tok, detail))
         return report
+
+    def _witt_row(self, token: str, keys: list[str]) -> list[int] | None:
+        """The Witt row of token in keys order, if the backend stores it whole;
+        None sends validate to the cell-by-cell witt_index fill."""
+        return None
 
 
 class RealLattice(ExtensionLattice):
@@ -452,11 +473,16 @@ class RealLattice(ExtensionLattice):
 
 
 class DeclaredLattice(ExtensionLattice):
-    """Witt indices from an explicit table; every extension must pre-exist."""
+    """Witt indices from an explicit table; every extension must pre-exist.
+
+    The table is one row per token, _witt[token][form key], filled by
+    declared_lattice_from_data; witt_index reads a cell of it, and validate
+    takes each row whole.
+    """
 
     def __init__(self):
         super().__init__()
-        self._witt: dict[tuple[str, str], int] = {}
+        self._witt: dict[str, dict[str, int]] = {}
         self._prime_links: dict[str, str] = {}
         # smallest token per (parent, construction) and per (None, construction)
         self._constructed: dict[tuple[str | None, str], str] = {}
@@ -493,8 +519,18 @@ class DeclaredLattice(ExtensionLattice):
         link = self._prime_links.get(q.key)
         return self._forms.get(link) if link is not None else None
 
+    def _witt_row(self, token: str, keys: list[str]) -> list[int] | None:
+        row = self._witt.get(token)
+        if row is None:
+            return None
+        try:
+            return list(map(row.__getitem__, keys))
+        except KeyError:  # a form the row misses: the fill reports each cell
+            return None
+
     def witt_index(self, q: QuadraticForm, extension: str) -> int:
-        value = self._witt.get((q.key, extension))
+        row = self._witt.get(extension)
+        value = row.get(q.key) if row is not None else None
         # a declared id may spell a real key, and the real form must be refused
         if value is not None and not q.is_real:
             return value
@@ -695,13 +731,60 @@ def check_nesting(value) -> None:
         raise ModelError(_TOO_DEEP)
 
 
+def _witt_rows(witt, form_ids, tokens) -> tuple[dict[str, dict[str, int]], str | None]:
+    """The witt section, read in one pass into per-token rows
+    {token: {form id: index}}, and the message of its first entry that names
+    an unknown form or extension or holds a negative or duplicate index
+    (None if none does).
+
+    An entry of the common exact shape is tested inline; at the first other
+    entry, or at the first bad one, check_json reads the whole section, so a
+    shape misfit anywhere in it is raised before any other error.
+    """
+    rows: dict[str, dict[str, int]] = {token: {} for token in tokens}
+    checked = False  # whether check_json has passed the whole section
+    if not isinstance(witt, list):
+        check_json(witt, "witt", _SCHEMA["witt"])  # refuses it
+    for entry in witt:
+        if not (type(entry) is dict and len(entry) == 3
+                and type(form := entry.get("form")) is str
+                and type(token := entry.get("extension")) is str
+                and type(index := entry.get("index")) is int):
+            if not checked:
+                check_json(witt, "witt", _SCHEMA["witt"])
+                checked = True
+            form, token, index = entry["form"], entry["extension"], entry["index"]
+        if form not in form_ids:
+            error = f"witt entry for unknown form {form!r}"
+        elif (row := rows.get(token)) is None:
+            error = f"unknown extension {token!r}"
+        elif index < 0:
+            error = f"negative Witt index for {form} at {token}"
+        elif form in row:
+            error = f"duplicate witt entry for {form} at {token}"
+        else:
+            row[form] = index
+            continue
+        if not checked:  # a later entry may still misfit
+            check_json(witt, "witt", _SCHEMA["witt"])
+        return rows, error
+    return rows, None
+
+
 def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattice:
     """Build a declared lattice from parsed JSON data.
 
-    Structural defects (entries missing a field or of the wrong JSON type,
-    bad ids or constructions, cycles through parents or join constituents,
-    non-total table) are rejection errors; with check=True the four Witt
-    invariant families are also enforced, rejecting on any violation.
+    The witt section is read in one pass (see _witt_rows) before anything is
+    built: each entry's shape is tested, the entry is checked against the
+    form and extension ids of the forms and extensions sections, and its
+    index is filed into its token's row.  Errors are rejection errors, in
+    this order: a misfit of the JSON shape (a missing field, a value of the
+    wrong JSON type), first in forms, then extensions, then witt; the
+    structure's own defects (bad ids or constructions, cycles through
+    parents or join constituents, no base); the first bad witt entry
+    (unknown form, unknown extension, negative index, duplicate entry); a
+    non-total table.  With check=True the four Witt invariant families are
+    also enforced, rejecting on any violation.
     """
     if not isinstance(data, dict):
         check_nesting(data)
@@ -709,8 +792,11 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
     if not data.keys() <= _SCHEMA.keys():
         check_nesting(data)  # a key outside the schema may hold any value
     try:
-        forms, extensions, witt = (
-            check_json(data.get(name, []), name, shape) for name, shape in _SCHEMA.items()
+        forms, extensions = (
+            check_json(data.get(name, []), name, _SCHEMA[name]) for name in ("forms", "extensions")
+        )
+        rows, witt_error = _witt_rows(
+            data.get("witt", []), {item["id"] for item in forms}, [item["id"] for item in extensions]
         )
     except ModelError:
         check_nesting(data)  # a misfit may sit beside deeper nesting elsewhere
@@ -778,25 +864,16 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
     if model._base is None:
         raise ModelError("declared model has no base extension")
 
-    known_forms, known_tokens, table = model._forms, model._extensions, model._witt
-    for item in witt:
-        fk, tok, value = item["form"], item["extension"], item["index"]
-        if fk not in known_forms:
-            raise ModelError(f"witt entry for unknown form {fk!r}")
-        if tok not in known_tokens:
-            raise ModelError(f"unknown extension {tok!r}")
-        if value < 0:
-            raise ModelError(f"negative Witt index for {fk} at {tok}")
-        if (fk, tok) in table:
-            raise ModelError(f"duplicate witt entry for {fk} at {tok}")
-        table[(fk, tok)] = value
-    # every entry is a distinct known (form, token), so the table is total
-    # exactly when it has one entry per cell; otherwise name the first gap
-    if len(table) != len(known_forms) * len(known_tokens):
+    if witt_error is not None:
+        raise ModelError(witt_error)
+    model._witt = rows
+    # every filed entry is a distinct known (form, token), so the table is
+    # total exactly when it has one entry per cell; otherwise name the first gap
+    if sum(map(len, rows.values())) != len(model._forms) * len(model._extensions):
         tokens = model.extension_tokens()
         for fk in model.form_keys():
             for tok in tokens:
-                if (fk, tok) not in table:
+                if fk not in rows[tok]:
                     raise ModelError(f"witt table misses {fk} at {tok}")
 
     if check:

@@ -414,8 +414,15 @@ def _reference_violations(model):
     """validate() written out cell by cell, with ancestors in sorted order."""
     forms = [model.form(k) for k in model.form_keys()]
     tokens = model.extension_tokens()
-    table = {(q.key, t): model.witt_index(q, t) for q in forms for t in tokens}
-    out = []
+    table, out = {}, []
+    for q in forms:
+        for t in tokens:
+            try:
+                table[(q.key, t)] = model.witt_index(q, t)
+            except ModelError as exc:
+                out.append(("table", q.key, t, str(exc)))
+    if out:
+        return out
     for q in forms:
         for t in tokens:
             value = table[(q.key, t)]
@@ -678,6 +685,359 @@ def test_ingestion_rejects_structural_defects():
             f["prime"] = "(3,0)"
     with pytest.raises(ModelError):
         declared_lattice_from_data(bad)
+
+
+def _reference_declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattice:
+    """The loader as it was before witt was read in one pass, kept as the
+    reference: it checked every section with check_json, placed the
+    extensions, then read witt into a (form, token) table.  Only its last
+    step is new: it files that table into the per-token rows that
+    witt_index reads.
+    """
+    if not isinstance(data, dict):
+        fields.check_nesting(data)
+        raise ModelError(f"model must be a JSON object, not {type(data).__name__}")
+    if not data.keys() <= _SCHEMA.keys():
+        fields.check_nesting(data)  # a key outside the schema may hold any value
+    try:
+        forms, extensions, witt = (
+            check_json(data.get(name, []), name, shape) for name, shape in _SCHEMA.items()
+        )
+    except ModelError:
+        fields.check_nesting(data)  # a misfit may sit beside deeper nesting elsewhere
+        raise
+    model = DeclaredLattice()
+
+    for item in forms:
+        try:
+            q = QuadraticForm.declared(item["id"], item["dim"])
+        except ValueError as exc:  # an empty id or a dim below 1
+            raise ModelError(str(exc)) from None
+        if q.key in model._forms:
+            raise ModelError(f"duplicate form id {q.key!r}")
+        model.register_form(q)
+    for item in forms:
+        link = item.get("prime")
+        if link is None:
+            continue
+        if link not in model._forms:
+            raise ModelError(f"form {item['id']!r} links to unknown prime {link!r}")
+        expected = model._forms[item["id"]].dim + 1
+        if model._forms[link].dim != expected:
+            raise ModelError(
+                f"prime link {item['id']!r} -> {link!r} must raise dim by one"
+            )
+        model._prime_links[item["id"]] = link
+
+    pending = {item["id"]: item for item in extensions}
+    if len(pending) != len(extensions):
+        raise ModelError("duplicate extension ids")
+    parts: dict[str, tuple[str, ...]] = {}
+    for token, item in pending.items():
+        try:
+            parts[token] = fields.parse_construction(item["construction"]).parts
+        except ModelError as exc:
+            raise ModelError(f"extension {token!r}: {exc}") from None
+    # an extension is placed after its parent and its join constituents, in
+    # the order of repeated passes over the pending ids in sorted order: its
+    # pass is that of its latest reference, plus one if that reference sorts
+    # after it.  Kahn's algorithm works the passes out in one walk; nothing
+    # on a cycle through a reference is ever placed, and add_extension
+    # refuses a reference that names no extension at all
+    refs = {
+        token: {ref for ref in (item.get("parent"), *parts[token]) if ref in pending}
+        for token, item in pending.items()
+    }
+    waiting = {token: len(found) for token, found in refs.items()}
+    users: dict[str, list[str]] = {token: [] for token in pending}
+    for token, found in refs.items():
+        for ref in found:
+            users[ref].append(token)
+    passes: dict[str, int] = {}
+    ready = [token for token, n in waiting.items() if not n]
+    for token in ready:  # grows as references are placed
+        passes[token] = max((passes[ref] + (ref > token) for ref in refs[token]), default=0)
+        for user in users[token]:
+            waiting[user] -= 1
+            if not waiting[user]:
+                ready.append(user)
+    for token in sorted(passes, key=lambda token: (passes[token], token)):
+        item = pending[token]
+        model.add_extension(Extension(token, item.get("parent"), item["construction"]))
+    if len(passes) < len(pending):
+        raise ModelError(f"parent graph has a cycle through {sorted(pending.keys() - passes)}")
+    if model._base is None:
+        raise ModelError("declared model has no base extension")
+
+    known_forms, known_tokens, table = model._forms, model._extensions, {}
+    for item in witt:
+        fk, tok, value = item["form"], item["extension"], item["index"]
+        if fk not in known_forms:
+            raise ModelError(f"witt entry for unknown form {fk!r}")
+        if tok not in known_tokens:
+            raise ModelError(f"unknown extension {tok!r}")
+        if value < 0:
+            raise ModelError(f"negative Witt index for {fk} at {tok}")
+        if (fk, tok) in table:
+            raise ModelError(f"duplicate witt entry for {fk} at {tok}")
+        table[(fk, tok)] = value
+    # every entry is a distinct known (form, token), so the table is total
+    # exactly when it has one entry per cell; otherwise name the first gap
+    if len(table) != len(known_forms) * len(known_tokens):
+        tokens = model.extension_tokens()
+        for fk in model.form_keys():
+            for tok in tokens:
+                if (fk, tok) not in table:
+                    raise ModelError(f"witt table misses {fk} at {tok}")
+    for (fk, tok), value in table.items():
+        model._witt.setdefault(tok, {})[fk] = value
+
+    if check:
+        report = model.validate()
+        if not report.ok:
+            raise ModelError("declared model rejected:\n" + report.render())
+    return model
+
+
+def _load_outcome(load, data, check):
+    """The first ModelError text, or the snapshot of the loaded lattice with
+    the type of each index; neither loader writes to data."""
+    try:
+        model = load(data, check=check)
+    except ModelError as exc:
+        return "refused", str(exc)
+    snapshot = lattice_to_data(model)
+    return "loaded", snapshot, [type(e["index"]) for e in snapshot["witt"]]
+
+
+def _placed_under(monkeypatch, load, data):
+    """The tokens that load places before it returns or raises."""
+    placed = []
+    add = DeclaredLattice.add_extension
+    monkeypatch.setattr(DeclaredLattice, "add_extension",
+                        lambda self, ext, level=None: placed.append(ext.token) or add(self, ext, level))
+    try:
+        load(data)
+    except ModelError:
+        pass
+    monkeypatch.undo()
+    return placed
+
+
+def _witt_entry(data, rng):
+    """A witt entry that is still an object."""
+    return rng.choice([entry for entry in data["witt"] if type(entry) is dict])
+
+
+def _witt_misfit(data, rng):
+    entry = _witt_entry(data, rng)
+    damage = rng.choice(["drop", None, True, 1.5, "s", [], {}, "entry"])
+    if damage == "entry":
+        data["witt"][data["witt"].index(entry)] = rng.choice([3, "x", [], None])
+    elif damage == "drop":
+        entry.pop(rng.choice(["form", "extension", "index"]), None)
+    else:
+        entry[rng.choice(["form", "extension", "index"])] = copy.deepcopy(damage)
+
+
+def _witt_semantic(data, rng):
+    entry = _witt_entry(data, rng)
+    kind = rng.choice(["form", "extension", "negative", "duplicate", "gap", "value"])
+    if kind == "value":  # fits the table, and may break an invariant family
+        entry["index"] = rng.randint(0, 3)
+    elif kind == "form":
+        entry["form"] = "zz"
+    elif kind == "extension":
+        entry["extension"] = "nowhere"
+    elif kind == "negative":
+        entry["index"] = -1
+    elif kind == "duplicate":
+        data["witt"].insert(rng.randrange(len(data["witt"]) + 1), {**entry, "index": 1})
+    else:
+        data["witt"].remove(entry)
+
+
+def _structure_fault(data, rng):
+    kind = rng.choice(["form", "cycle", "parent", "extension", "construction", "base", "prime"])
+    children = [e for e in data["extensions"] if e["construction"] != "base"]
+    if kind == "form":
+        data["forms"].append(dict(rng.choice(data["forms"])))
+    elif kind == "cycle":
+        rng.choice(children)["parent"] = rng.choice(children)["id"]
+    elif kind == "parent":
+        rng.choice(children)["parent"] = "zz"
+    elif kind == "extension":
+        data["extensions"].append(dict(rng.choice(children)))
+    elif kind == "construction":
+        rng.choice(children)["construction"] = "gff:x:y"
+    elif kind == "base":
+        data["extensions"][0]["construction"] = "ff:x"
+    else:
+        rng.choice(data["forms"])["prime"] = "zz"
+
+
+def _section_fault(data, rng):
+    kind = rng.choice(["no witt", "witt", "forms", "extensions"])
+    if kind == "no witt":
+        del data["witt"]
+    elif kind == "witt":
+        data["witt"] = rng.choice([{}, "x", 3, None, {"form": "c1"}])
+    elif kind == "forms":
+        rng.choice(data["forms"]).pop("dim", None)
+    else:
+        rng.choice(data["extensions"])["construction"] = 7
+
+
+def _harmless_edit(data, rng):
+    """An edit that loads as before: reordered entries, a key outside the
+    shape or an int-subclass index."""
+    kind = rng.choice(["shuffle", "note", "int"])
+    if kind == "shuffle":
+        rng.shuffle(data["witt"])
+    elif kind == "note":  # nothing reads it
+        _witt_entry(data, rng)["note"] = [["x"]]
+    else:
+        entry = _witt_entry(data, rng)
+        entry["index"] = _Int(entry.get("index", 0))
+
+
+_LOADER_EDITS = (_witt_misfit, _witt_semantic, _structure_fault, _section_fault, _harmless_edit)
+
+
+def _error_family(outcome) -> str:
+    if outcome[0] == "loaded":
+        return "loaded"
+    text = outcome[1]
+    if re.match(r"(forms|extensions|witt)(\[| must)", text) or text == fields._TOO_DEEP:
+        return "misfit"
+    if text.startswith(("witt entry", "unknown extension", "negative", "duplicate witt")):
+        return "bad entry"
+    if text.startswith("witt table misses"):
+        return "gap"
+    if text.startswith("declared model rejected"):
+        return "rejected"
+    return "structure"
+
+
+def test_the_one_pass_loader_matches_the_reference_on_damaged_models(monkeypatch):
+    good = {"fixture": declared_fixture(), "twins": TWINS}
+    deep = _nested(fields.MAX_NESTING + 100)
+
+    def damaged(name, *edits):
+        data = copy.deepcopy(good[name])
+        for edit in edits:
+            edit(data)
+        return data
+
+    def misfit(data):
+        data["witt"][-1]["index"] = "1"
+
+    def set_entry(i, **values):
+        return lambda data: data["witt"][i].update(values)
+
+    cases = {
+        # a witt misfit beside a structural defect: the misfit comes first
+        "misfit+duplicate form": damaged("fixture", misfit,
+                                         lambda d: d["forms"].append(dict(d["forms"][0]))),
+        "misfit+cycle": damaged("twins", misfit, lambda d: d["extensions"][1].update(parent="k(c1,c2)")),
+        "misfit+unknown parent": damaged("twins", misfit, lambda d: d["extensions"][2].update(parent="zz")),
+        # a bad entry before a misfit: the misfit comes first
+        "unknown form, then misfit": damaged("twins", set_entry(2, form="zz"), set_entry(7, index=None)),
+        "negative, then misfit": damaged("fixture", set_entry(0, index=-1), set_entry(5, extension=1)),
+        "duplicate, then misfit": damaged(
+            "twins", lambda d: d["witt"].insert(1, dict(d["witt"][0])), set_entry(9, form=[])),
+        # a bad entry beside a structural defect: the structure comes first
+        "unknown extension+cycle": damaged("twins", set_entry(3, extension="nowhere"),
+                                           lambda d: d["extensions"][1].update(parent="k(c1,c2)")),
+        # a key outside the shape, too deep, in one entry; and beside a bad entry
+        "deep extra key": damaged("twins", set_entry(4, note=deep)),
+        "deep extra key after a bad entry": damaged("twins", set_entry(0, index=-1), set_entry(4, note=deep)),
+        "bool index": damaged("fixture", set_entry(3, index=True)),
+        "int subclass index": damaged("twins", *(set_entry(i, index=_Int(TWINS["witt"][i]["index"]))
+                                                   for i in (0, 3, 6))),
+        "no witt": damaged("twins", lambda d: d.pop("witt")),
+        "witt not a list": damaged("twins", lambda d: d.update(witt={"form": "c1"})),
+        "witt entry not an object": damaged("twins", lambda d: d["witt"].insert(2, ["c1", "k", 0])),
+    }
+    want = {
+        "misfit+duplicate form": "witt[",
+        "misfit+cycle": "witt[",
+        "misfit+unknown parent": "witt[",
+        "unknown form, then misfit": "witt[7].index missing",
+        "negative, then misfit": "witt[5].extension must be a string",
+        "duplicate, then misfit": "witt[9].form must be a string",
+        "unknown extension+cycle": "parent graph has a cycle",
+        "deep extra key": fields._TOO_DEEP,
+        "deep extra key after a bad entry": fields._TOO_DEEP,
+        "bool index": "witt[3].index must be an integer",
+        "no witt": "witt table misses",
+        "witt not a list": "witt must be a list",
+        "witt entry not an object": "witt[2] must be an object",
+    }
+    for name, data in cases.items():
+        for check in (True, False):
+            got = _load_outcome(declared_lattice_from_data, data, check)
+            assert got == _load_outcome(_reference_declared_lattice_from_data, data, check), name
+        assert got[0] == ("loaded" if name == "int subclass index" else "refused"), (name, got)
+        if name in want:
+            assert got[1].startswith(want[name]), (name, got)
+        if got[0] == "refused" and got[1].startswith(("witt[", "witt must", fields._TOO_DEEP)):
+            assert _placed_under(monkeypatch, declared_lattice_from_data, data) == [], name
+    # the int subclass passes through to the snapshot, as the reference keeps it
+    assert _Int in _load_outcome(declared_lattice_from_data, cases["int subclass index"], True)[2]
+
+    # seeded models with two or three edits, most of them faults of any kind
+    rng = random.Random(23)
+    seen = dict.fromkeys(["misfit", "bad entry", "structure", "gap", "rejected", "loaded"], 0)
+    for _ in range(600):
+        data = copy.deepcopy(good[rng.choice(sorted(good))])
+        edits = rng.choices(_LOADER_EDITS, weights=(1, 1, 1, 1, 2), k=rng.randint(2, 3))
+        for edit in edits:
+            if isinstance(data.get("witt"), list) and dict in map(type, data["witt"]):
+                edit(data, rng)
+        check = rng.random() < 0.5
+        got = _load_outcome(declared_lattice_from_data, data, check)
+        assert got == _load_outcome(_reference_declared_lattice_from_data, data, check), edits
+        seen[_error_family(got)] += 1
+    assert min(seen.values()) >= 3, seen  # every outcome occurs
+
+
+def test_validate_falls_back_to_the_cell_fill_where_a_row_is_incomplete():
+    model = declared_lattice_from_data(copy.deepcopy(TWINS), check=False)
+    del model._witt["k(c1)"]["c2"]  # a row that misses one form
+    del model._witt["k(G)"]  # a token with no row
+    model.register_form(QuadraticForm.declared("late", 2))  # a form no row holds
+    got = [(v.family, v.form, v.extension, v.detail) for v in model.validate().violations]
+    assert got == _reference_violations(model)
+    # form-major: every missing cell of one form before the next form's
+    assert [(form, token) for _, form, token, _ in got] == [
+        ("c1", "k(G)"), ("c1p", "k(G)"), ("c2", "k(G)"), ("c2", "k(c1)"), ("c2p", "k(G)"),
+        ("late", "k"), ("late", "k(G)"), ("late", "k(c1)"), ("late", "k(c1,c2)"), ("late", "k(c2)"),
+    ]
+    assert {family for family, *_ in got} == {"table"}
+    # the refusals of witt_index keep their texts
+    for key, token in (("c2", "k(c1)"), ("c1", "k(G)"), ("late", "k")):
+        with pytest.raises(ModelError, match=f"^no declared Witt index for form {key} at {re.escape(token)}$"):
+            model.witt_index(model.form(key), token)
+    with pytest.raises(ModelError, match="^unknown extension 'nowhere'$"):
+        model.witt_index(model.form("c1"), "nowhere")
+    with pytest.raises(ModelError, match=r"^real form \(1,1\) is not in the declared table$"):
+        model.witt_index(real(1, 1), "k")
+    assert model.witt_index(model.form("c1"), "k(c1)") == 1
+
+
+def test_a_complete_model_calls_witt_index_only_for_self_isotropy(monkeypatch):
+    calls = []
+    witt_index = DeclaredLattice.witt_index
+    monkeypatch.setattr(DeclaredLattice, "witt_index",
+                        lambda self, q, token: calls.append((q.key, token)) or witt_index(self, q, token))
+    for source in (TWINS, declared_fixture(), lattice_to_data(real_lattice(real_forms(6), 2))):
+        calls.clear()
+        model = declared_lattice_from_data(copy.deepcopy(source))  # loads and validates
+        own = [(fields.parse_construction(ext.construction), token)
+               for token, ext in model._extensions.items()]
+        want = [(c.form, token) for c, token in own if c.kind in ("ff", "gff")]
+        assert want and sorted(calls) == sorted(want)
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer"}
