@@ -217,13 +217,14 @@ def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
     # a real lattice may hold a real form whose key the declared id spells
     if not model.holds(q):
         raise ModelError(f"declared form {q.key} is not registered")
-    known = set(model.form_keys())
     quadric = ProjectiveQuadric(q)
     dec = Decomposition.from_json(quadric.key, data)
     resolved = []
     for s in dec.summands:
-        if s.cls.quadric not in known:
-            raise ModelError(f"summand class over unknown quadric {s.cls.quadric!r}")
+        try:
+            model.form(s.cls.quadric)
+        except ModelError:
+            raise ModelError(f"summand class over unknown quadric {s.cls.quadric!r}") from None
         try:
             resolved.append(Summand(canonical_class(model, s.cls), s.shift, s.kind))
         except ValueError as exc:  # Grassmannian refuses the plane level

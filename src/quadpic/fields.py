@@ -32,14 +32,19 @@ growing a lattice while others read it is not supported.  memos["pic"] is
 not covered: det and det_vector may register forms and decompositions, so
 they grow the lattice they read.
 
-Every oracle answer at an extension depends only on its oracle group (see
-oracle_group and token_groups): the level on the real backend, the token
-itself on the declared backend.  Lattice-wide sweeps evaluate once per
-group, real_lattice works out each round's kernels once per (level,
-pos - neg), and every per-extension memo holds one entry per group: the Witt
-memo here, and the memos that the twists and tower layers keep in
-memos[layer].  decomp keeps its registries there too, and pic its det words
-and atom class vectors, keyed by form.  No memo key names a token.
+Every oracle answer at an extension depends only on its oracle group: the
+level on the real backend, the token itself on the declared backend.  Each
+lattice maps token -> group in group_of, a dict that add_extension fills, so
+a layer finds a token's group with one subscript; the real map refuses an
+unknown token, the declared map gives it back unchanged for the oracle to
+refuse.  token_groups lists the tokens of each group.  Lattice-wide sweeps
+evaluate once per group, real_lattice works out each round's kernels once
+per (level, pos - neg), and every per-extension memo holds one entry per
+group: the Witt memo here, and the memos that the twists and tower layers
+keep in memos[layer].  decomp keeps its registries there too, and pic its
+det words and atom class vectors, keyed by form.  No memo key names a token.
+extension_tokens keeps its sorted list until add_extension changes the
+tokens, and hands out a copy.
 """
 
 from __future__ import annotations
@@ -149,11 +154,31 @@ class ValidationReport(NamedTuple):
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
 
 
+class _RealGroups(dict):
+    """token -> level; an unknown token is refused."""
+
+    __slots__ = ()
+
+    def __missing__(self, token):
+        raise ModelError(f"unknown extension {token!r}")
+
+
+class _DeclaredGroups(dict):
+    """token -> itself; an unknown token comes back unchanged, so the oracle
+    that reads it refuses it in its own order."""
+
+    __slots__ = ()
+
+    def __missing__(self, token):
+        return token
+
+
 class ExtensionLattice:
     """Finite poset of field extensions and its forms; a subclass supplies the oracle."""
 
     def __init__(self):
         self._extensions: dict[str, Extension] = {}
+        self._token_order: list[str] | None = None  # sorted tokens, None once stale
         self._forms: dict[str, QuadraticForm] = {}
         self._base: str | None = None
         # the memos and registries of the layers above: twists, tower and pic
@@ -200,6 +225,7 @@ class ExtensionLattice:
                 raise ModelError(f"join {ext.token!r} references unknown {part!r}")
         self._index_extension(ext, level)
         self._extensions[ext.token] = ext
+        self._token_order = None
         return ext.token
 
     def extension(self, token: str) -> Extension:
@@ -209,7 +235,11 @@ class ExtensionLattice:
             raise ModelError(f"unknown extension {token!r}") from None
 
     def extension_tokens(self) -> list[str]:
-        return sorted(self._extensions)
+        """Every token in sorted order, as a new list."""
+        order = self._token_order
+        if order is None:
+            order = self._token_order = sorted(self._extensions)
+        return order[:]
 
     def form(self, key: str) -> QuadraticForm:
         got = self._forms.get(key)
@@ -364,24 +394,18 @@ class RealLattice(ExtensionLattice):
 
     def __init__(self):
         super().__init__()
-        self._levels: dict[str, float] = {}
+        self.group_of = _RealGroups()  # token -> level: a real answer reads only that
         self._groups: dict[float, list[str]] = {}  # tokens per level, in insertion order
         self._witt_memo: dict[tuple[str, float], int] = {}  # (form key, level)
 
     def _index_extension(self, ext: Extension, level) -> None:
         if level is None:
             raise ModelError("real-backend extension needs a level")
-        self._levels[ext.token] = level
+        self.group_of[ext.token] = level
         self._groups.setdefault(level, []).append(ext.token)
 
     def level(self, token: str):
-        try:
-            return self._levels[token]
-        except KeyError:
-            raise ModelError(f"unknown extension {token!r}") from None
-
-    # a real oracle answer reads only the level of its extension
-    oracle_group = level
+        return self.group_of[token]
 
     def token_groups(self) -> list[list[str]]:
         """Every token, grouped so that each oracle answer is constant on a group.
@@ -409,9 +433,7 @@ class RealLattice(ExtensionLattice):
         return q_prime if q_prime.key in self._forms else None
 
     def witt_index(self, q: QuadraticForm, extension: str) -> int:
-        level = self._levels.get(extension)
-        if level is None:
-            level = self.level(extension)  # refuses the unknown token
+        level = self.group_of[extension]
         key = (q.key, level)
         cached = self._witt_memo.get(key)
         # a declared id may spell a real key, and must still be refused
@@ -482,12 +504,14 @@ class DeclaredLattice(ExtensionLattice):
 
     def __init__(self):
         super().__init__()
+        self.group_of = _DeclaredGroups()  # a declared answer may differ at every token
         self._witt: dict[str, dict[str, int]] = {}
         self._prime_links: dict[str, str] = {}
         # smallest token per (parent, construction) and per (None, construction)
         self._constructed: dict[tuple[str | None, str], str] = {}
 
     def _index_extension(self, ext: Extension, level) -> None:
+        self.group_of[ext.token] = ext.token
         for index in ((None, ext.construction), (ext.parent, ext.construction)):
             best = self._constructed.get(index)
             if best is None or ext.token < best:
@@ -496,10 +520,6 @@ class DeclaredLattice(ExtensionLattice):
     def token_groups(self) -> list[list[str]]:
         """Every token in a group of its own, in insertion order."""
         return [[token] for token in self._extensions]
-
-    def oracle_group(self, token: str) -> str:
-        """A declared answer may differ at every token, so each is its own group."""
-        return token
 
     def register_form(self, q: QuadraticForm) -> str:
         if q.is_real:

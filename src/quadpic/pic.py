@@ -118,12 +118,6 @@ class PicElement:
 
     # -------------------------------------------------------------- values
 
-    def _atom_value(self, atom: Atom, token: str) -> TateTwist:
-        gen, key = atom
-        if gen == GEN_E:
-            return phi_affine(self.model.form(key), token, self.model)
-        return phi_det(ProjectiveQuadric(self.model.form(key)), token, self.model)
-
     def _atom_closure(self, atom: Atom) -> TateTwist:
         gen, key = atom
         n = self.model.form(key).dim
@@ -132,12 +126,7 @@ class PicElement:
         return split_quadric_sum(n - 2, n // 2)
 
     def value_at(self, token: str) -> TateTwist:
-        x, y = self.tate
-        for atom, coeff in self.word:
-            ax, ay = self._atom_value(atom, token)
-            x += coeff * ax
-            y += coeff * ay
-        return TateTwist(x, y)
+        return _evaluate(self.tate, _terms(self), token, self.model)
 
     def base_value(self) -> TateTwist:
         return self.value_at(self.model.base)
@@ -242,10 +231,33 @@ class EqualityVerdict(NamedTuple):
     reason: str
 
 
+def _terms(element: PicElement) -> list[tuple]:
+    """(evaluator, form or quadric, power) per atom of the word, each atom
+    resolved once: phi_affine of the form for e^q, phi_det of its quadric
+    for det(Q).  An atom whose form is not registered is refused here."""
+    model = element.model
+    return [(phi_affine, model.form(key), coeff) if gen == GEN_E
+            else (phi_det, ProjectiveQuadric(model.form(key)), coeff)
+            for (gen, key), coeff in element.word]
+
+
+def _evaluate(tate: TateTwist, terms: list[tuple], token: str, model) -> TateTwist:
+    """The Tate part plus each term's value at the token, times its power."""
+    x, y = tate
+    for evaluator, arg, coeff in terms:
+        ax, ay = evaluator(arg, token, model)
+        x += coeff * ax
+        y += coeff * ay
+    return TateTwist(x, y)
+
+
 def _sweep(element: PicElement):
-    """(group, value) per oracle group, evaluating the element at one token of each."""
-    for group in element.model.token_groups():
-        yield group, element.value_at(group[0])
+    """(group, value) per oracle group, evaluating the element at one token of
+    each; the word's atoms are resolved once for the whole sweep."""
+    model = element.model
+    terms = _terms(element)
+    for group in model.token_groups():
+        yield group, _evaluate(element.tate, terms, group[0], model)
 
 
 # ---------------------------------------------------------------- builders
@@ -265,7 +277,7 @@ def generator_e(q: QuadraticForm, model) -> PicElement:
         model.register_form(q)
     elif not model.holds(q):
         raise ModelError(f"declared form {q.key} is not registered")
-    return PicElement(model, word={(GEN_E, q.key): 1})
+    return PicElement._of_word(model, ZERO_TWIST, (((GEN_E, q.key), 1),))
 
 
 def _subforms(form: QuadraticForm) -> list[QuadraticForm]:

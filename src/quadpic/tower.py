@@ -8,7 +8,7 @@ the twist of e^q reads off from that index alone.  Everything is driven by
 the point-existence oracle; no motive objects appear.
 
 The active index is memoized in the lattice's memos["tower"], one entry per
-(form, oracle group).  This route reads neither the twists layer nor its
+(form, oracle group), the group read from the lattice's group_of map.  This route reads neither the twists layer nor its
 memo, and the twists layer never reads this one, so comparing the two
 routes compares two separate computations.
 """
@@ -59,7 +59,7 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
     memo = model.memos["tower"]
     form = tower.form
     # is_real keeps a declared id that spells a real key off the real entry
-    key = (form.key, form.is_real, model.oracle_group(extension))
+    key = (form.key, form.is_real, model.group_of[extension])
     active = memo.get(key)
     if active is not None:
         return active

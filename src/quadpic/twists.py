@@ -8,7 +8,8 @@ law, rendering and JSON run Python code.  The evaluators below compute, from Wit
 indices alone, the twist value of the affine-quadric generator e^q and of
 det(Q) at an extension of the lattice.  They memoize their values in the
 lattice's memos["twists"], one entry per (form, oracle group), so every
-token of a group shares one evaluation.  The memo holds values only; an
+token of a group shares one evaluation; the group is one subscript of the
+lattice's group_of map.  The memo holds values only; an
 extension or form that the oracle refuses is refused again on every call.
 """
 
@@ -100,7 +101,7 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
     """
     memo = model.memos["twists"]
     # is_real keeps a declared id that spells a real key off the real entry
-    key = ("affine", q.key, q.is_real, model.oracle_group(extension))
+    key = ("affine", q.key, q.is_real, model.group_of[extension])
     value = memo.get(key)
     if value is None:
         q_prime = model.prime_of(q)
@@ -120,7 +121,7 @@ def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
         return ZERO_TWIST
     memo = model.memos["twists"]
     form = quadric.canonical_form
-    key = ("det", quadric.key, form.is_real, model.oracle_group(extension))
+    key = ("det", quadric.key, form.is_real, model.group_of[extension])
     value = memo.get(key)
     if value is None:
         j = model.witt_index(form, extension)

@@ -250,8 +250,10 @@ def test_declared_rank_mismatch_rejected():
 
 def test_declared_unknown_grassmannian_rejected():
     model = twin_model()
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError) as exc:
         declare_decomposition(model.form("c1"), rank2_summand("ghost"), model)
+    assert str(exc.value) == "summand class over unknown quadric 'ghost'"
+    assert model.memos["decompositions"] == {}
 
 
 def test_redeclaration_is_idempotent_but_conflicts_raise():

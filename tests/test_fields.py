@@ -1493,24 +1493,113 @@ def test_concurrent_oracle_reads_match_serial_results():
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
+    def read(lattice, q, token):
+        # the oracle memos, the kept token order and the group map
+        return (_memoized_answers(lattice, q, token), lattice.extension_tokens(),
+                lattice.group_of[token])
+
     forms = [real(p, n - p) for n in range(1, 9) for p in range(n + 1)]
     model = real_lattice(forms, depth=2)
     jobs = [
         (q, token) for q in forms for token in model.extension_tokens()
     ]
-    serial = [_memoized_answers(model, q, t) for q, t in jobs]
+    serial = [read(model, q, t) for q, t in jobs]
 
     fresh = real_lattice(forms, depth=2)
+    assert fresh._token_order is None  # the readers sort the tokens themselves
     twist_readoff.cache_clear()  # the concurrent readers fill the table afresh
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             concurrent = list(
-                pool.map(lambda job: _memoized_answers(fresh, *job), jobs, timeout=60)
+                pool.map(lambda job: read(fresh, *job), jobs, timeout=60)
             )
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == serial
     # both routes agree at every (form, token)
-    assert all(answer[1] == answer[4] for answer in concurrent)
+    assert all(answer[1] == answer[4] for answer, _, _ in concurrent)
+
+
+# ------------------------------------------------- group map and token order
+
+
+def test_the_real_group_map_refuses_an_unknown_token_in_every_oracle():
+    model = real_lattice([real(3, 1)], depth=1)
+    q = model.form("(3,1)")
+    reads = {
+        "level": lambda: model.level("x"),
+        "witt_index": lambda: model.witt_index(q, "x"),
+        "phi_affine": lambda: phi_affine(q, "x", model),
+        "phi_det": lambda: phi_det(ProjectiveQuadric(q), "x", model),
+        "active_index": lambda: active_index(build_tower(q), "x", model),
+    }
+    for name, read in reads.items():
+        with pytest.raises(ModelError) as exc:
+            read()
+        assert str(exc.value) == "unknown extension 'x'", name
+    assert "x" not in model.group_of
+
+
+def test_the_declared_group_map_gives_an_unknown_token_back():
+    model = declared_lattice_from_data(lattice_to_data(real_lattice([real(2, 1)], depth=1)))
+    assert model.group_of["nowhere"] == "nowhere"
+    assert "nowhere" not in model.group_of
+    assert all(model.group_of[t] == t for t in model.extension_tokens())
+    with pytest.raises(ModelError) as exc:
+        phi_affine(model.form("(2,1)"), "nowhere", model)
+    assert str(exc.value) == "unknown extension 'nowhere'"
+
+
+def test_a_copied_lattice_grows_its_own_group_map():
+    # a bound method of the map, kept on the lattice, would still read the
+    # original's dict after copy.deepcopy
+    model = real_lattice(real_forms(4), depth=1)
+    copied = copy.deepcopy(model)
+    added = [t for t in copied.ensure_splitting_tower(real(0, 8)) if t not in model.group_of]
+    assert added
+    grown = real_lattice(real_forms(4), depth=1)
+    grown.ensure_splitting_tower(real(0, 8))
+    deep = real(6, 0)
+    for token in added:
+        assert copied.level(token) == grown.level(token)
+        assert copied.witt_index(deep, token) == grown.witt_index(deep, token)
+        assert phi_affine(deep, token, copied) == phi_affine(deep, token, grown)
+        for read in (model.level, lambda t: model.witt_index(deep, t),
+                     lambda t: phi_affine(deep, t, model)):
+            with pytest.raises(ModelError) as exc:
+                read(token)
+            assert str(exc.value) == f"unknown extension {token!r}"
+    assert model.extension_tokens() == sorted(model._extensions)
+    assert copied.extension_tokens() == sorted(copied._extensions)
+
+
+def test_the_kept_token_order_follows_every_kind_of_growth():
+    def check(model):
+        assert model.extension_tokens() == sorted(model._extensions)
+
+    model = real_lattice(real_forms(5), depth=1)
+    check(model)
+    check(model)  # from the kept order
+    model.extend_by_function_field(model.base, quadric(7, 0))
+    check(model)
+    model.extend_by_grassmannian(model.base, Grassmannian(quadric(9, 0), 2))
+    check(model)
+    model.ensure_splitting_tower(real(0, 12))
+    check(model)
+    model.register_form(real(11, 0))  # a new form adds no token
+    check(model)
+    declared = declared_lattice_from_data(lattice_to_data(model))
+    check(declared)
+    assert declared.extension_tokens() == model.extension_tokens()
+
+
+def test_the_token_list_is_the_callers_to_change():
+    model = real_lattice(real_forms(4), depth=1)
+    tokens = model.extension_tokens()
+    expected = list(tokens)
+    tokens.reverse()
+    tokens.append("x")
+    assert model.extension_tokens() == expected
+    assert model.extension_tokens() is not model.extension_tokens()

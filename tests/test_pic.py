@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadpic
 from quadpic import (
+    QuadPicError,
     ClassKey,
     DisagreementError,
     ModelError,
@@ -34,12 +35,17 @@ from quadpic import (
     lattice_to_data,
     motivically_equivalent,
     pfister_real,
+    phi_affine,
     phi_det,
     prime,
     real_lattice,
+    registered_decomposition,
     relations_check,
+    t_equivalent,
     tate_element,
 )
+from quadpic.acceptance import real_forms
+from quadpic.pic import GEN_DET, GEN_E, EqualityVerdict, InverseCheckReport, _sweep
 
 real = QuadraticForm.real
 SRC = Path(__file__).resolve().parents[1] / "src" / "quadpic"
@@ -742,6 +748,148 @@ def test_inverse_check_on_a_broken_table_lists_failures_in_token_order():
     assert inverse_identity_check(
         model.form("c"), declared_lattice_from_data(unsorted_declared_data(cpp_index=1))
     ).ok
+
+
+def _reference_value_at(element, token):
+    """value_at as the per-group sweep had it: each atom resolved anew."""
+    model = element.model
+    x, y = element.tate
+    for (gen, key), coeff in element.word:
+        if gen == "e":
+            ax, ay = phi_affine(model.form(key), token, model)
+        else:
+            ax, ay = phi_det(ProjectiveQuadric(model.form(key)), token, model)
+        x += coeff * ax
+        y += coeff * ay
+    return TateTwist(x, y)
+
+
+def _reference_sweep(element):
+    """(group, value) per oracle group, through _reference_value_at."""
+    for group in element.model.token_groups():
+        yield group, _reference_value_at(element, group[0])
+
+
+def _reference_equality(x, y):
+    diff = x * y**-1
+    vec = diff.det_vector()
+    if vec is not None:
+        if vec:
+            return EqualityVerdict(False, True, "class vectors differ")
+        if _reference_value_at(diff, diff.model.base):
+            return EqualityVerdict(False, True, "Tate parts differ at the base")
+        return EqualityVerdict(True, True, "class vector and base twist agree")
+    if diff.closure_value():
+        return EqualityVerdict(False, True, "closure twist values differ")
+    differing = [min(group) for group, value in _reference_sweep(diff) if value]
+    if differing:
+        return EqualityVerdict(False, True, f"twist values differ at {min(differing)}")
+    return EqualityVerdict(True, False, "fingerprints agree on every registered extension")
+
+
+def _reference_inverse_check(q, model):
+    q_prime = model.prime_of(q)
+    product = generator_e(q, model) * generator_e(q_prime, model)
+    expected = TateTwist(q.dim, 2 * q.dim + 1)
+    failures = sorted(
+        (token, value) for group, value in _reference_sweep(product)
+        if value != expected for token in group
+    )
+    return InverseCheckReport(q.key, expected, tuple(failures))
+
+
+def _reference_relations(ps, qs, model):
+    decs_p = [registered_decomposition(P, model) for P in ps]
+    decs_q = [registered_decomposition(Q, model) for Q in qs]
+    for P in ps + qs:
+        model.ensure_splitting_tower(P.canonical_form)
+    quotient = det_product(ps, model) * det_product(qs, model) ** -1
+    fp_verdict = {value for _, value in _reference_sweep(quotient)} == {quotient.closure_value()}
+    return RelationsVerdict(fp_verdict, t_equivalent(decs_p, decs_q, model))
+
+
+def _outcome(read):
+    """What read() returns, or the type and text of the engine error it raises."""
+    try:
+        return "ok", read()
+    except QuadPicError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _twins_with_classes():
+    model = twin_declared_model()
+    for name in ("P", "Q"):
+        declare_two_classes(model, name)
+    return model
+
+
+_SWEEP_MODELS = {
+    "real": lambda: real_lattice(real_forms(5), depth=2),
+    # on the snapshot the primes of the primes carry no prime link
+    "snapshot": lambda: declared_lattice_from_data(
+        lattice_to_data(real_lattice(real_forms(4), depth=2))),
+    "twins": _twins_with_classes,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_MODELS))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweeps_resolving_each_atom_once_match_the_per_group_reference(name, data):
+    model = _SWEEP_MODELS[name]()
+    keys = model.form_keys()
+    atom = st.tuples(st.sampled_from([GEN_E, GEN_DET]), st.sampled_from(keys))
+    # nonzero and zero, negative and repeated powers, with a Tate part
+    pairs = st.lists(st.tuples(atom, st.integers(-3, 3)), max_size=5)
+    x, y = (
+        PicElement(model, TateTwist(*data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))),
+                   pair + pair[:1])
+        for pair in (data.draw(pairs), data.draw(pairs))
+    )
+    for element in (x, y, x * y**-1):
+        assert _outcome(lambda: list(_sweep(element))) == _outcome(
+            lambda: list(_reference_sweep(element)))
+        assert _outcome(element.fingerprint) == _outcome(
+            lambda: {t: v for group, v in _reference_sweep(element) for t in group})
+        token = data.draw(st.sampled_from(model.extension_tokens()))
+        assert _outcome(lambda: element.value_at(token)) == _outcome(
+            lambda: _reference_value_at(element, token))
+    assert _outcome(lambda: x.equality(y)) == _outcome(lambda: _reference_equality(x, y))
+    for key in {key for (_, key), _ in x.word}:
+        q = model.form(key)
+        assert _outcome(lambda: inverse_identity_check(q, model)) == _outcome(
+            lambda: _reference_inverse_check(q, model))
+    quadrics = [ProjectiveQuadric(model.form(key)) for (_, key), _ in x.word + y.word]
+    ps, qs = quadrics[::2], quadrics[1::2]
+    assert _outcome(lambda: relations_check(ps, qs, model)) == _outcome(
+        lambda: _reference_relations(ps, qs, model))
+
+
+def test_a_sweep_refused_midway_carries_the_reference_text():
+    model = twin_declared_model()
+    # e^Pp needs the prime of Pp, which the model does not link
+    x = tate_element(model, TateTwist(1, -2)) * generator_e(model.form("P"), model) \
+        * generator_e(model.form("Pp"), model) ** 2
+    want = ("ModelError", "declared form Pp has no prime link")
+    assert _outcome(lambda: list(_reference_sweep(x))) == want
+    # y has x's closure value, so equality sweeps the quotient
+    y = tate_element(model, TateTwist(9, 15))
+    assert x.closure_value() == y.closure_value()
+    for read in (lambda: list(_sweep(x)), x.fingerprint, x.base_value,
+                 lambda: x.equality(y), lambda: _reference_equality(x, y)):
+        assert _outcome(read) == want
+
+
+def test_generator_e_builds_the_sorted_one_atom_word():
+    model = twin_declared_model()
+    for key in model.form_keys():
+        built = generator_e(model.form(key), model)
+        reference = PicElement(model, word={(GEN_E, key): 1})
+        assert (built.tate, built.word) == (reference.tate, reference.word)
+    real_model = real_lattice([], depth=0)
+    built = generator_e(real(3, 1), real_model)
+    assert built.word == PicElement(real_model, word={(GEN_E, "(3,1)"): 1}).word
+    assert set(real_model.form_keys()) == {"(3,1)", prime(real(3, 1)).key}  # registered
 
 
 # ------------------------------------------------------------ pic memo
