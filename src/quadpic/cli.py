@@ -104,6 +104,14 @@ def _lattice_for(args, declared, forms):
     return real_lattice(forms, DEFAULT_DEPTH if args.lattice_depth is None else args.lattice_depth)
 
 
+def _form_and_lattice(args):
+    """The form named by args.form and the lattice to read it on: --model's,
+    else a real lattice built for it; loaded, parsed and built in that order."""
+    declared = _load_declared(args)
+    q = _parse_form(args.form, declared)
+    return q, _lattice_for(args, declared, [q])
+
+
 def _refuse_unread_options(args) -> None:
     """Every command follows one rule: an option that it would not read is refused."""
     if args.model is None:
@@ -128,9 +136,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _cmd_phi(args) -> int:
-    declared = _load_declared(args)
-    q = _parse_form(args.form, declared)
-    model = _lattice_for(args, declared, [q])
+    q, model = _form_and_lattice(args)
     values = {}
     if args.route in ("sum", "both"):
         values["sum"] = phi_affine(q, args.ext, model)
@@ -159,28 +165,22 @@ def _emit_element(args, name: str, element) -> None:
 
 
 def _cmd_e(args) -> int:
-    declared = _load_declared(args)
-    q = _parse_form(args.form, declared)
-    model = _lattice_for(args, declared, [q])
+    q, model = _form_and_lattice(args)
     _emit_element(args, "e", generator_e(q, model))
     return EXIT_OK
 
 
 def _cmd_det(args) -> int:
-    declared = _load_declared(args)
-    q = _parse_form(args.form, declared)
-    model = _lattice_for(args, declared, [q])
+    q, model = _form_and_lattice(args)
     flag = None
     if args.flag:
-        flag = _parse_form_list(args.flag, declared)
+        flag = _parse_form_list(args.flag, None if args.model is None else model)
     _emit_element(args, "det", det(ProjectiveQuadric(q), model, flag=flag))
     return EXIT_OK
 
 
 def _cmd_inverse_check(args) -> int:
-    declared = _load_declared(args)
-    q = _parse_form(args.form, declared)
-    model = _lattice_for(args, declared, [q])
+    q, model = _form_and_lattice(args)
     report = inverse_identity_check(q, model)
     payload = {"command": "inverse-check", **report.to_json()}
     if report.ok:
@@ -222,9 +222,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    declared = _load_declared(args)
-    q = _parse_form(args.form, declared)
-    model = _lattice_for(args, declared, [q])
+    q, model = _form_and_lattice(args)
     decomposition = registered_decomposition(ProjectiveQuadric(q), model)
     payload = {"command": "decompose", "quadric": decomposition.quadric,
                "decomposition": decomposition.to_json()}

@@ -18,31 +18,37 @@ and the derived extensions:
 
 * DeclaredLattice -- Witt indices come from an explicit table, kept as one
   row per token (form key -> index) that the loader fills in one pass over
-  the model's witt section; extensions must pre-exist, so it builds no
-  splitting towers.  Tables are checked by validate(), which takes each
-  declared row whole, against four invariant families, each tested once
-  per Witt row or edge (the ceiling per form and the codimension-1 step per
-  prime link over the rows, monotonicity per parent or join edge between
-  rows, self-isotropy per token); only a family that fails walks its cells.
+  the model's witt section and interns, so that tokens with equal rows share
+  one row id; extensions must pre-exist, so it builds no splitting towers.
+  Tables are checked by validate(), which takes one row per oracle group,
+  whole where the backend stores it, against four invariant families, each
+  tested once per group or edge (the ceiling per form and the codimension-1
+  step per prime link over the rows, monotonicity per parent or join edge
+  between groups, self-isotropy per token); only a family that fails walks
+  its cells.
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
 oracle memo (witt_index, phi_affine, phi_det, active_index) of a lattice
-that nothing grows meanwhile give the serial answers, which a test checks;
+that nothing grows meanwhile give the serial answers, which a test checks on
+both backends;
 growing a lattice while others read it is not supported.  memos["pic"] is
 not covered: det and det_vector may register forms and decompositions, so
 they grow the lattice they read.
 
-Every oracle answer at an extension depends only on its oracle group: the
-level on the real backend, the token itself on the declared backend.  Each
-lattice maps token -> group in group_of, a dict that add_extension fills, so
-a layer finds a token's group with one subscript; the real map refuses an
-unknown token, the declared map gives it back unchanged for the oracle to
-refuse.  token_groups lists the tokens of each group.  Lattice-wide sweeps
-evaluate once per group, real_lattice works out each round's kernels once
-per (level, pos - neg), and every per-extension memo holds one entry per
-group: the Witt memo here, and the memos that the twists and tower layers
-keep in memos[layer].  decomp keeps its registries there too, and pic its
-det words and atom class vectors, keyed by form.  No memo key names a token.
+Every oracle answer at an extension depends only on its Witt row, so only on
+its oracle group: the level on the real backend, the id of its distinct Witt
+row on the declared backend (a token without a row, as in a hand-built
+lattice, is a group of its own).  add_extension files each token under the
+group that the backend's _index_extension returns: in group_of, a dict, so a
+layer finds a token's group with one subscript, and in the group -> tokens
+store that token_groups lists.  The real map refuses an unknown token; the
+declared map gives it back unchanged for the oracle to refuse.  Lattice-wide
+sweeps and validate evaluate once per group, real_lattice works out each
+round's kernels once per (level, pos - neg), and every per-extension memo
+holds one entry per group: the Witt memo here, and the memos that the twists
+and tower layers keep in memos[layer].  decomp keeps its registries there
+too, and pic its det words and atom class vectors, keyed by form.  No memo
+key names a token.
 extension_tokens keeps its sorted list until add_extension changes the
 tokens, and hands out a copy.
 """
@@ -164,7 +170,7 @@ class _RealGroups(dict):
 
 
 class _DeclaredGroups(dict):
-    """token -> itself; an unknown token comes back unchanged, so the oracle
+    """token -> row id; an unknown token comes back unchanged, so the oracle
     that reads it refuses it in its own order."""
 
     __slots__ = ()
@@ -179,6 +185,7 @@ class ExtensionLattice:
     def __init__(self):
         self._extensions: dict[str, Extension] = {}
         self._token_order: list[str] | None = None  # sorted tokens, None once stale
+        self._groups: dict[object, list[str]] = {}  # oracle group -> tokens, in insertion order
         self._forms: dict[str, QuadraticForm] = {}
         self._base: str | None = None
         # the memos and registries of the layers above: twists, tower and pic
@@ -197,7 +204,8 @@ class ExtensionLattice:
         return self._base
 
     def add_extension(self, ext: Extension, level=None) -> str:
-        """Add a node below existing ones; level is the node's level on the real backend."""
+        """Add a node below existing ones, filed under its oracle group; level
+        is the node's level on the real backend."""
         if "|" in ext.token:
             raise ModelError(f"extension token {ext.token!r} may not contain '|'")
         existing = self._extensions.get(ext.token)
@@ -223,10 +231,21 @@ class ExtensionLattice:
         for part in parts:
             if part not in self._extensions:
                 raise ModelError(f"join {ext.token!r} references unknown {part!r}")
-        self._index_extension(ext, level)
+        group = self._index_extension(ext, level)
         self._extensions[ext.token] = ext
+        self.group_of[ext.token] = group
+        self._groups.setdefault(group, []).append(ext.token)
         self._token_order = None
         return ext.token
+
+    def token_groups(self) -> list[list[str]]:
+        """Every token, grouped so that each oracle answer is constant on a group.
+
+        One group per level on the real backend, per distinct Witt row on the
+        declared one, each listing its tokens in insertion order; groups must
+        not be modified.
+        """
+        return list(self._groups.values())
 
     def extension(self, token: str) -> Extension:
         try:
@@ -292,14 +311,17 @@ class ExtensionLattice:
     def validate(self) -> ValidationReport:
         """Check the four invariant families at every (form, extension).
 
-        Tokens with equal Witt rows share one row.  Over the rows, the ceiling
-        is tested once per form and the codim-1 step once per prime link;
-        monotonicity once per (row of a parent or join constituent, row of the
-        token) edge, as a drop to an ancestor is a drop along some edge; and
-        self-isotropy once per token, whose construction names its cell.  Only
-        a family that fails walks its cells, in the cell-by-cell report order;
-        the monotonicity walk compares each distinct (ancestor row, token row)
-        pair once.
+        Every oracle group has one Witt row, read at its first token: a
+        level's on the real backend, a distinct declared row on the declared
+        one.  Over the rows, the ceiling is tested once per form and the
+        codim-1 step once per prime link; monotonicity once per (group of a
+        parent or join constituent, group of the token) edge, as a drop to an
+        ancestor is a drop along some edge; and self-isotropy once per token,
+        whose construction names its cell.  Only a family that fails walks its
+        cells, in the cell-by-cell report order; the monotonicity walk compares
+        each distinct (ancestor group, token group) pair once.  A row that
+        cannot be read whole sends validate to the table family, which reports
+        every unreadable cell.
         """
         report = ValidationReport([])
         violations = report.violations
@@ -308,28 +330,19 @@ class ExtensionLattice:
         tokens = self.extension_tokens()
 
         # the Witt row of each oracle group, in form-key order, at the group's
-        # first token: taken whole where the backend stores it, else filled
-        # cell by cell, form by form, reporting each cell it cannot read
-        groups = {group[0]: group for group in self.token_groups()}
-        firsts = [tok for tok in tokens if tok in groups]
-        cells = {tok: self._witt_row(tok, keys) for tok in firsts}
-        if None in cells.values():
-            cells = {tok: [] for tok in firsts}
+        # first token; if one cannot be read, report every cell that cannot,
+        # form by form
+        groups = self.token_groups()
+        table = [self._witt_row(group[0], keys) for group in groups]
+        if None in table:
             for q in forms:
-                for tok in firsts:
+                for tok in tokens:
                     try:
-                        cells[tok].append(self.witt_index(q, tok))
+                        self.witt_index(q, tok)
                     except ModelError as exc:
                         violations.append(Violation("table", q.key, tok, str(exc)))
-            if violations:
-                return report
-        # intern the rows: tokens whose rows are equal share one row id
-        row_ids: dict[tuple[int, ...], int] = {}
-        row_of: dict[str, int] = {}
-        for first, group in groups.items():
-            row_id = row_ids.setdefault(tuple(cells[first]), len(row_ids))
-            row_of.update(dict.fromkeys(group, row_id))
-        table = list(row_ids)
+            return report
+        row_of = {tok: i for i, group in enumerate(groups) for tok in group}
         rows = [table[row_of[tok]] for tok in tokens]
 
         for i, (q, column) in enumerate(zip(forms, zip(*table))):
@@ -384,9 +397,12 @@ class ExtensionLattice:
         return report
 
     def _witt_row(self, token: str, keys: list[str]) -> list[int] | None:
-        """The Witt row of token in keys order, if the backend stores it whole;
-        None sends validate to the cell-by-cell witt_index fill."""
-        return None
+        """The Witt row of token in keys order, read cell by cell; None, where
+        a cell cannot be read, sends validate to its table family."""
+        try:
+            return [self.witt_index(self._forms[key], token) for key in keys]
+        except ModelError:
+            return None
 
 
 class RealLattice(ExtensionLattice):
@@ -395,25 +411,15 @@ class RealLattice(ExtensionLattice):
     def __init__(self):
         super().__init__()
         self.group_of = _RealGroups()  # token -> level: a real answer reads only that
-        self._groups: dict[float, list[str]] = {}  # tokens per level, in insertion order
         self._witt_memo: dict[tuple[str, float], int] = {}  # (form key, level)
 
-    def _index_extension(self, ext: Extension, level) -> None:
+    def _index_extension(self, ext: Extension, level):
         if level is None:
             raise ModelError("real-backend extension needs a level")
-        self.group_of[ext.token] = level
-        self._groups.setdefault(level, []).append(ext.token)
+        return level
 
     def level(self, token: str):
         return self.group_of[token]
-
-    def token_groups(self) -> list[list[str]]:
-        """Every token, grouped so that each oracle answer is constant on a group.
-
-        One group per level, listing its tokens in insertion order; groups
-        must not be modified.
-        """
-        return list(self._groups.values())
 
     def register_form(self, q: QuadraticForm, with_prime: bool = True) -> str:
         if not q.is_real:
@@ -498,28 +504,27 @@ class DeclaredLattice(ExtensionLattice):
     """Witt indices from an explicit table; every extension must pre-exist.
 
     The table is one row per token, _witt[token][form key], filled by
-    declared_lattice_from_data; witt_index reads a cell of it, and validate
-    takes each row whole.
+    declared_lattice_from_data, which also interns the rows: a token's oracle
+    group is the id of its distinct row, or the token itself where it has
+    none.  witt_index reads a cell of the table, and validate takes one row
+    whole per group.
     """
 
     def __init__(self):
         super().__init__()
-        self.group_of = _DeclaredGroups()  # a declared answer may differ at every token
+        self.group_of = _DeclaredGroups()  # token -> row id: a declared answer reads only that
         self._witt: dict[str, dict[str, int]] = {}
+        self._row_of: dict[str, int] = {}  # token -> interned row id, set by the loader
         self._prime_links: dict[str, str] = {}
         # smallest token per (parent, construction) and per (None, construction)
         self._constructed: dict[tuple[str | None, str], str] = {}
 
-    def _index_extension(self, ext: Extension, level) -> None:
-        self.group_of[ext.token] = ext.token
+    def _index_extension(self, ext: Extension, level):
         for index in ((None, ext.construction), (ext.parent, ext.construction)):
             best = self._constructed.get(index)
             if best is None or ext.token < best:
                 self._constructed[index] = ext.token
-
-    def token_groups(self) -> list[list[str]]:
-        """Every token in a group of its own, in insertion order."""
-        return [[token] for token in self._extensions]
+        return self._row_of.get(ext.token, ext.token)
 
     def register_form(self, q: QuadraticForm) -> str:
         if q.is_real:
@@ -797,7 +802,9 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
     The witt section is read in one pass (see _witt_rows) before anything is
     built: each entry's shape is tested, the entry is checked against the
     form and extension ids of the forms and extensions sections, and its
-    index is filed into its token's row.  Errors are rejection errors, in
+    index is filed into its token's row; the rows are interned before any
+    extension is placed, so each token joins its row's oracle group.
+    Errors are rejection errors, in
     this order: a misfit of the JSON shape (a missing field, a value of the
     wrong JSON type), first in forms, then extensions, then witt; the
     structure's own defects (bad ids or constructions, cycles through
@@ -822,6 +829,14 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
         check_nesting(data)  # a misfit may sit beside deeper nesting elsewhere
         raise
     model = DeclaredLattice()
+    # tokens whose rows hold the same forms, with equal values of the same
+    # type, share a row id, and so an oracle group
+    row_ids: dict[tuple, int] = {}
+    model._row_of = {
+        token: row_ids.setdefault(
+            (tuple(row), tuple(row.values()), tuple(map(type, row.values()))), len(row_ids))
+        for token, row in rows.items()
+    }
 
     for item in forms:
         try:

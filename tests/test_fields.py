@@ -119,7 +119,7 @@ def test_witt_index_computes_once_per_form_and_level(monkeypatch):
 
 def _memoized_answers(lattice, q, token):
     """What each memoized oracle, and the read-off table, gives for q at the token."""
-    tower = build_tower(q)
+    tower = build_tower(q, lattice)
     slot = active_index(tower, token, lattice)
     return (
         lattice.witt_index(q, token),
@@ -1489,7 +1489,8 @@ def test_prime_tracks_the_declared_link():
 
 def test_concurrent_oracle_reads_match_serial_results():
     # frozen lattice: concurrent (form, extension) evaluation through every
-    # memo must be safe, and the memos behaviorally invisible
+    # memo must be safe, and the memos behaviorally invisible; on the declared
+    # snapshot the tokens of one Witt row share each memo entry
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -1499,27 +1500,37 @@ def test_concurrent_oracle_reads_match_serial_results():
                 lattice.group_of[token])
 
     forms = [real(p, n - p) for n in range(1, 9) for p in range(n + 1)]
-    model = real_lattice(forms, depth=2)
-    jobs = [
-        (q, token) for q in forms for token in model.extension_tokens()
-    ]
-    serial = [read(model, q, t) for q, t in jobs]
 
-    fresh = real_lattice(forms, depth=2)
-    assert fresh._token_order is None  # the readers sort the tokens themselves
-    twist_readoff.cache_clear()  # the concurrent readers fill the table afresh
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            concurrent = list(
-                pool.map(lambda job: read(fresh, *job), jobs, timeout=60)
-            )
-    finally:
-        sys.setswitchinterval(interval)
-    assert concurrent == serial
-    # both routes agree at every (form, token)
-    assert all(answer[1] == answer[4] for answer, _, _ in concurrent)
+    def real_backend():
+        return real_lattice(forms, depth=2)
+
+    def declared_backend():  # unchecked, so nothing sorts its tokens
+        return declared_lattice_from_data(lattice_to_data(real_backend()), check=False)
+
+    for build in (real_backend, declared_backend):
+        model = build()
+        keyed = [model.form(q.key) for q in forms]
+        jobs = [
+            (q, token) for q in keyed for token in model.extension_tokens()
+        ]
+        serial = [read(model, q, t) for q, t in jobs]
+
+        fresh = build()
+        assert fresh._token_order is None  # the readers sort the tokens themselves
+        assert len(fresh.token_groups()) < len(model.extension_tokens())
+        twist_readoff.cache_clear()  # the concurrent readers fill the table afresh
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                concurrent = list(
+                    pool.map(lambda job: read(fresh, *job), jobs, timeout=60)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial, build.__name__
+        # both routes agree at every (form, token)
+        assert all(answer[1] == answer[4] for answer, _, _ in concurrent)
 
 
 # ------------------------------------------------- group map and token order
@@ -1546,7 +1557,27 @@ def test_the_declared_group_map_gives_an_unknown_token_back():
     model = declared_lattice_from_data(lattice_to_data(real_lattice([real(2, 1)], depth=1)))
     assert model.group_of["nowhere"] == "nowhere"
     assert "nowhere" not in model.group_of
-    assert all(model.group_of[t] == t for t in model.extension_tokens())
+    source = real_lattice(real_forms(8), depth=2)
+    twins, snapshot = (declared_lattice_from_data(copy.deepcopy(data))
+                       for data in (TWINS, lattice_to_data(source)))
+    # tokens share a group exactly when their Witt rows are equal
+    for lattice in (model, twins, snapshot):
+        for s, t in itertools.product(lattice.extension_tokens(), repeat=2):
+            assert (lattice.group_of[s] == lattice.group_of[t]) == (lattice._witt[s] == lattice._witt[t])
+    assert len(twins.extension_tokens()) == 5
+    assert sorted(map(sorted, twins.token_groups())) == [
+        ["k"], ["k(G)"], ["k(c1)", "k(c1,c2)", "k(c2)"]]
+    # the snapshot has its real lattice's groups, one per level
+    assert len(snapshot.extension_tokens()) == 30
+    assert len(snapshot.token_groups()) == 5
+    assert sorted(map(sorted, snapshot.token_groups())) == sorted(map(sorted, source.token_groups()))
+    # a hand-built lattice, with no table, keeps one group per token
+    hand = DeclaredLattice()
+    hand.add_extension(Extension("k", None, "base"))
+    hand.add_extension(Extension("k(a)", "k", "ff:a"))
+    hand.add_extension(Extension("k(b)", "k", "ff:a"))
+    assert hand.token_groups() == [["k"], ["k(a)"], ["k(b)"]]
+    assert all(hand.group_of[t] == t for t in hand.extension_tokens())
     with pytest.raises(ModelError) as exc:
         phi_affine(model.form("(2,1)"), "nowhere", model)
     assert str(exc.value) == "unknown extension 'nowhere'"

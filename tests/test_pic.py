@@ -2,6 +2,7 @@ import ast
 import copy
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import random
@@ -45,7 +46,9 @@ from quadpic import (
     tate_element,
 )
 from quadpic.acceptance import real_forms
+from quadpic.tower import active_index, build_tower
 from quadpic.pic import GEN_DET, GEN_E, EqualityVerdict, InverseCheckReport, _sweep
+from test_cli_corpus import TWINS
 
 real = QuadraticForm.real
 SRC = Path(__file__).resolve().parents[1] / "src" / "quadpic"
@@ -890,6 +893,89 @@ def test_generator_e_builds_the_sorted_one_atom_word():
     built = generator_e(real(3, 1), real_model)
     assert built.word == PicElement(real_model, word={(GEN_E, "(3,1)"): 1}).word
     assert set(real_model.form_keys()) == {"(3,1)", prime(real(3, 1)).key}  # registered
+
+
+# ------------------------------------------------------ declared row groups
+
+
+def _row_group_models():
+    """TWINS and the declared snapshot of real_lattice(real_forms(8), depth=2)."""
+    return {
+        "twins": declared_lattice_from_data(copy.deepcopy(TWINS)),
+        "snapshot": declared_lattice_from_data(
+            lattice_to_data(real_lattice(real_forms(8), depth=2))),
+    }
+
+
+def _per_token(model, read):
+    """_outcome of read(token) at every token, each from empty memos."""
+    got = {}
+    for token in model.extension_tokens():
+        model.memos.clear()
+        got[token] = _outcome(lambda: read(token))
+    model.memos.clear()
+    return got
+
+
+def _first_refusal(model, outcomes):
+    """The outcome at the first token, in insertion order, that is refused."""
+    return next(outcomes[t] for t in model._extensions if outcomes[t][0] != "ok")
+
+
+@pytest.mark.parametrize("name", ["twins", "snapshot"])
+def test_row_groups_never_change_an_answer(name):
+    model = _row_group_models()[name]
+    tokens = model.extension_tokens()
+    assert len(model.token_groups()) < len(tokens)  # some tokens share a row
+    forms = [model.form(key) for key in model.form_keys()]
+    for q in forms:
+        for read in (lambda t: phi_affine(q, t, model),
+                     lambda t: phi_det(ProjectiveQuadric(q), t, model),
+                     lambda t: active_index(build_tower(q, model), t, model)):
+            # grouped: the memos kept from token to token
+            grouped = {t: _outcome(lambda: read(t)) for t in tokens}
+            assert grouped == _per_token(model, read)
+
+    # fingerprints of generated words, swept once per group
+    words = [generator_e(q, model) for q in forms]
+    words += [det(ProjectiveQuadric(q), model) for q in forms]
+    words += [tate_element(model, TateTwist(1, -1)) * x * y**-2 for x, y in zip(words, words[1:])]
+    for element in words:
+        got = _outcome(element.fingerprint)
+        per = _per_token(model, element.value_at)
+        if got[0] == "ok":
+            assert per == {t: ("ok", v) for t, v in got[1].items()}
+        else:
+            assert got == _first_refusal(model, per)
+
+    for q in forms:
+        got = _outcome(lambda: inverse_identity_check(q, model))
+        link = _outcome(lambda: model.prime_of(q))
+        if link[0] != "ok":
+            assert got == link
+            continue
+        product = generator_e(q, model) * generator_e(link[1], model)
+        per = _per_token(model, product.value_at)
+        if got[0] != "ok":
+            assert got == _first_refusal(model, per)
+            continue
+        assert {kind for kind, _ in per.values()} == {"ok"}
+        assert got[1].failures == tuple(
+            (t, v) for t, (_, v) in sorted(per.items()) if v != got[1].expected)
+
+    for p, q in itertools.product(forms, repeat=2):
+        got = _outcome(lambda: motivically_equivalent(ProjectiveQuadric(p), ProjectiveQuadric(q), model))
+        # the Witt profiles compared at every token
+        assert got == ("ok", p.dim == q.dim and all(
+            model.witt_index(p, t) == model.witt_index(q, t) for t in tokens))
+
+
+def test_a_declared_sweep_evaluates_once_per_witt_row():
+    model = _row_group_models()["snapshot"]
+    word = generator_e(model.form("(3,1)"), model) * generator_e(model.form("(2,2)"), model) ** -1
+    assert len(model.extension_tokens()) == 30
+    assert len(list(_sweep(word))) == 5
+    assert sorted(word.fingerprint()) == model.extension_tokens()
 
 
 # ------------------------------------------------------------ pic memo
