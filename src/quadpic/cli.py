@@ -15,11 +15,10 @@ import json
 import re
 import sys
 
-from .decomp import check_decomposition, declare_decomposition, registered_decomposition
+from .decomp import declare_decompositions, registered_decomposition
 from .errors import DisagreementError, ModelError, QuadPicError
 from .fields import (
     DEFAULT_DEPTH,
-    check_nesting,
     declared_lattice_from_data,
     parse_model,
     real_lattice,
@@ -70,13 +69,7 @@ def _read_model(args):
     if report.ok and args.decomps is not None:
         with open(args.decomps, "r", encoding="utf-8") as handle:
             table = parse_model(handle.read())
-        check_nesting(table)
-        if not isinstance(table, dict):
-            raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
-        for form_id in sorted(table):
-            # a malformed entry is reported before its id is looked up
-            check_decomposition(form_id, table[form_id])
-            declare_decomposition(model.form(form_id), table[form_id], model)
+        declare_decompositions(table, model)
     return model, report
 
 

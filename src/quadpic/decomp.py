@@ -26,7 +26,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import ModelError
-from .fields import check_json
+from .fields import check_json, check_nesting
 from .forms import (
     Grassmannian,
     ProjectiveQuadric,
@@ -211,7 +211,27 @@ def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
     exactly.  Redeclaring with identical data is a no-op, conflicting data
     is an error.
     """
-    check_decomposition(q.key, data)
+    return _declare(q, check_decomposition(q.key, data), model)
+
+
+def declare_decompositions(table, model) -> None:
+    """Declare a --decomps table {form id: decomposition} on a declared lattice.
+
+    The checks run in this order, each raising a ModelError: the nesting
+    bound, then that the table is a JSON object, then each entry in sorted
+    id order: its shape, the lookup of its form, its declaration.
+    """
+    check_nesting(table)
+    if not isinstance(table, dict):
+        raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
+    for form_id in sorted(table):
+        # a malformed entry is reported before its id is looked up
+        data = check_decomposition(form_id, table[form_id])
+        _declare(model.form(form_id), data, model)
+
+
+def _declare(q: QuadraticForm, data: dict, model) -> Decomposition:
+    """declare_decomposition for data already checked against the shape."""
     if q.is_real:
         raise ModelError(f"declare_decomposition needs a declared form, got real {q.key}")
     # a real lattice may hold a real form whose key the declared id spells

@@ -14,12 +14,14 @@ and the derived extensions:
   rational, so their function fields are purely transcendental and keep
   the level.  Nodes are added append-only, and Witt indices are memoized
   per (form, level), so a node added later at a known level is answered
-  from the memo.
+  from the memo.  A query that must see every value its forms can take
+  calls separate(forms), which adds one node per level that can matter
+  and that no node holds yet (see RealLattice.separate).
 
 * DeclaredLattice -- Witt indices come from an explicit table, kept as one
   row per token (form key -> index) that the loader fills in one pass over
   the model's witt section and interns, so that tokens with equal rows share
-  one row id; extensions must pre-exist, so it builds no splitting towers.
+  one row id; extensions must pre-exist, so separate adds nothing.
   Tables are checked by validate(), which takes one row per oracle group,
   whole where the backend stores it, against four invariant families, each
   tested once per group or edge (the ceiling per form and the codimension-1
@@ -474,30 +476,37 @@ class RealLattice(ExtensionLattice):
             level = min(level, _power_of_two_below(form.dim))
         return self.add_extension(Extension(child, extension, f"ff:{quadric.key}"), level)
 
-    def _kernel_walk(self, q: QuadraticForm, start: str, planes: int) -> list[str]:
-        """start, then the function field of q's current anisotropic kernel
-        over the last node, until q has a planes-plane there, that is, until
-        the kernel is shorter than q.dim - 2 * planes."""
-        tower = [start]
-        shortest = q.dim - 2 * planes
-        while True:
-            kernel = self.anisotropic_part(q, tower[-1])
-            if kernel is None or kernel.dim < shortest:
-                return tower
-            tower.append(self.extend_by_function_field(tower[-1], ProjectiveQuadric(kernel)))
-
     def extend_by_grassmannian(self, extension: str, grass: Grassmannian) -> str:
         """Function field of G(Q, n), via the stably equivalent flag tower.
 
         G(Q, n) is stably birational to the flag variety F(Q, n), which is an
         iterated quadric fibration; each non-rational fiber is the quadric of
-        the current anisotropic kernel.
+        the current anisotropic kernel.  The walk takes the function field of
+        that kernel over the last node until Q has an n-plane there, that is,
+        until the kernel of Q's form q is shorter than dim q - 2n.
         """
-        return self._kernel_walk(grass.quadric.canonical_form, extension, grass.planes)[-1]
+        q = grass.quadric.canonical_form
+        shortest = q.dim - 2 * grass.planes
+        while (kernel := self.anisotropic_part(q, extension)) and kernel.dim >= shortest:
+            extension = self.extend_by_function_field(extension, ProjectiveQuadric(kernel))
+        return extension
 
-    def ensure_splitting_tower(self, q: QuadraticForm) -> list[str]:
-        """Generic splitting tower of q from the base; returns its tokens."""
-        return self._kernel_walk(q, self.base, q.dim // 2 - 1)
+    def separate(self, forms) -> None:
+        """Add the nodes at which every Witt index of the forms can differ.
+
+        The Witt index of (p, m) at level s differs from its base value
+        exactly when s < |p - m|, the dimension of its anisotropic part over
+        the base.  So for each level s = 2^k below the largest |p - m| of the
+        forms that no node holds yet, the function field of (s+1)<1> over the
+        base is added, of level s; a level already held adds nothing.  A
+        declared form is refused.
+        """
+        top = max((kernel.dim for q in forms
+                   if (kernel := self.anisotropic_part(q, self.base)) is not None), default=1)
+        for level in (1 << k for k in range((top - 1).bit_length())):
+            if level not in self._groups:
+                self.extend_by_function_field(
+                    self.base, ProjectiveQuadric(QuadraticForm.real(level + 1, 0)))
 
 
 class DeclaredLattice(ExtensionLattice):
@@ -603,10 +612,11 @@ class DeclaredLattice(ExtensionLattice):
             )
         return found
 
-    def ensure_splitting_tower(self, q: QuadraticForm) -> None:
+    def separate(self, forms) -> None:
         """Add nothing: a declared lattice is fixed.  A real form is refused."""
-        if q.is_real:
-            raise ModelError(f"real form {q.key} is not in the declared table")
+        for q in forms:
+            if q.is_real:
+                raise ModelError(f"real form {q.key} is not in the declared table")
 
 
 # ------------------------------------------------------------ real builder

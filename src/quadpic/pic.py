@@ -12,10 +12,11 @@ independent equality routes exist:
   computed from dimensions alone.
 
 Algorithms that need a separating lattice (relations, the
-motivic-equivalence criterion, the real basis) first materialize the full
-generic splitting towers of every form involved; in the level model those
-towers isolate each Rost class at its splitting level.  A declared lattice
-is fixed and builds none.
+motivic-equivalence criterion, the real basis) first call the lattice's
+separate() once on the forms involved.  In the level model a real Witt
+index depends only on the level, so separate adds one node for each level
+at which some index of those forms can differ from its base value and that
+no node holds yet.  A declared lattice is fixed and adds none.
 
 Words already known are not rebuilt.  The lattice's memos["pic"] holds,
 per lattice:
@@ -547,8 +548,7 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
     ps, qs = list(ps), list(qs)
     decs_p = [registered_decomposition(P, model) for P in ps]
     decs_q = [registered_decomposition(Q, model) for Q in qs]
-    for P in ps + qs:
-        model.ensure_splitting_tower(P.canonical_form)
+    model.separate([P.canonical_form for P in ps + qs])
     quotient = det_product(ps, model) * det_product(qs, model) ** -1
     fp_verdict = {value for _, value in _sweep(quotient)} == {quotient.closure_value()}
     tequiv = t_equivalent(decs_p, decs_q, model)
@@ -566,8 +566,7 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
 
 def motivically_equivalent(p: ProjectiveQuadric, q: ProjectiveQuadric, model) -> bool:
     """Same motive: identical Witt profiles, cross-checked against det equality."""
-    for quadric in (p, q):
-        model.ensure_splitting_tower(quadric.canonical_form)
+    model.separate([p.canonical_form, q.canonical_form])
     witt_route = p.dim == q.dim and all(
         model.witt_index(p.canonical_form, group[0])
         == model.witt_index(q.canonical_form, group[0])
@@ -609,10 +608,10 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     of kind rost:r and its prime (2^r, 1), of base Witt index 1, into
     2^(r-1) - 1 of them, whatever the lattice.  So the coordinate at fold r
     is minus the count of rost:r in x's class vector.  The expansion is then
-    checked by a fingerprint round trip on the Witt-index route (after
-    materializing the splitting towers involved): the quotient of x by the
-    expansion vanishes at every oracle group, so a wrong expansion cannot be
-    returned.
+    checked by a fingerprint round trip on the Witt-index route, over a
+    lattice separated for x's atoms, their primes and the Pfister forms up
+    to maxr: the quotient of x by the expansion vanishes at every oracle
+    group, so a wrong expansion cannot be returned.
     """
     model = x.model
     # a declared lattice refuses the real Pfister forms, even where maxr asks for none
@@ -633,9 +632,8 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     for r in sorted(coords):
         expanded = expanded * generator_e(pfister_real(r), model) ** coords[r]
     atom_forms = [model.form(key) for (_, key), _ in x.word]
-    primes = [model.prime_of(f) for f in atom_forms]
-    for f in [*atom_forms, *primes, *map(pfister_real, range(1, maxr + 1))]:
-        model.ensure_splitting_tower(f)
+    model.separate([*atom_forms, *map(model.prime_of, atom_forms),
+                    *map(pfister_real, range(1, maxr + 1))])
     twist = x.base_value() - expanded.base_value()
     residue = x * (expanded * tate_element(model, twist)) ** -1
     if any(value for _, value in _sweep(residue)):

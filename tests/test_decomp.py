@@ -320,6 +320,38 @@ def test_declare_decomposition_refuses_malformed_data_as_the_cli_does(
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
+def test_a_decomps_table_checks_each_entry_once_in_the_cli_order(monkeypatch):
+    import quadpic.decomp as decomp
+
+    snapshot = lattice_to_data(real_lattice([real(2, 1), real(3, 0)], depth=0))
+    model = declared_lattice_from_data(snapshot)
+    conic = {"summands": [_CONIC_SUMMAND]}
+    table = {key: conic for key in ("(3,0)", "(2,1)")}
+    checked = []
+    honest = decomp.check_json
+    monkeypatch.setattr(decomp, "check_json",
+                        lambda value, path, shape: checked.append(path) or honest(value, path, shape))
+    decomp.declare_decompositions(table, model)
+    assert checked == ['decomps["(2,1)"]', 'decomps["(3,0)"]']
+    assert sorted(model.memos["decompositions"]) == [("(2,1)", False), ("(3,0)", False)]
+
+    # the nesting bound, then the top-level object, then per sorted id:
+    # shape, form lookup, declaration
+    deep = []
+    for _ in range(600):
+        deep = [deep]
+    for bad, message in (
+        (deep, "JSON nests deeper than the parser allows"),
+        ([conic], "decomps must be a JSON object, not list"),
+        ({"(2,1)": conic, "nope": [], "zz": 1}, 'decomps["nope"] must be an object'),
+        ({"(2,1)": conic, "nope": conic, "(2,2)": []}, 'decomps["(2,2)"] must be an object'),
+        ({"(2,1)": conic, "nope": conic}, "unknown form 'nope'"),
+    ):
+        with pytest.raises(ModelError) as exc:
+            decomp.declare_decompositions(bad, declared_lattice_from_data(snapshot))
+        assert str(exc.value) == message
+
+
 def test_a_refused_summand_class_leaves_no_root_behind():
     # the refused key used to join the union-find before its Grassmannian was
     # built, and every later key was compared against it and refused in turn

@@ -140,12 +140,16 @@ def test_token_added_at_a_known_level_answers_from_the_memo():
             _memoized_answers(model, q, token)
 
     deep = real(6, 0)
-    added = [t for t in model.ensure_splitting_tower(deep) if t not in before]
+    tower = Grassmannian(ProjectiveQuadric(deep), deep.dim // 2 - 1)
+    model.extend_by_grassmannian(model.base, tower)
+    added = [t for t in model._extensions if t not in before]
     assert added and all(model.level(t) in levels for t in added)
     sizes = [len(model._witt_memo), len(model.memos["twists"]), len(model.memos["tower"])]
 
     fresh = real_lattice(forms, depth=1)
-    assert fresh.ensure_splitting_tower(deep)[-len(added):] == added
+    fresh_before = set(fresh._extensions)
+    fresh.extend_by_grassmannian(fresh.base, tower)
+    assert [t for t in fresh._extensions if t not in fresh_before] == added
 
     for q in forms:
         for token in added:
@@ -203,8 +207,9 @@ def test_grassmannian_function_field_reaches_deeper_splitting():
 def test_full_splitting_tower_reaches_maximal_witt_index(pm):
     q = real(*pm)
     model = real_lattice([q], depth=0)
-    tower = model.ensure_splitting_tower(q)
-    assert model.witt_index(q, tower[-1]) == q.dim // 2
+    top = model.base if q.dim < 2 else model.extend_by_grassmannian(
+        model.base, Grassmannian(ProjectiveQuadric(q), q.dim // 2 - 1))
+    assert model.witt_index(q, top) == q.dim // 2
 
 
 @given(signatures, signatures)
@@ -1588,10 +1593,12 @@ def test_a_copied_lattice_grows_its_own_group_map():
     # original's dict after copy.deepcopy
     model = real_lattice(real_forms(4), depth=1)
     copied = copy.deepcopy(model)
-    added = [t for t in copied.ensure_splitting_tower(real(0, 8)) if t not in model.group_of]
+    tower = Grassmannian(quadric(0, 8), 3)
+    copied.extend_by_grassmannian(copied.base, tower)
+    added = [t for t in copied._extensions if t not in model.group_of]
     assert added
     grown = real_lattice(real_forms(4), depth=1)
-    grown.ensure_splitting_tower(real(0, 8))
+    grown.extend_by_grassmannian(grown.base, tower)
     deep = real(6, 0)
     for token in added:
         assert copied.level(token) == grown.level(token)
@@ -1617,7 +1624,10 @@ def test_the_kept_token_order_follows_every_kind_of_growth():
     check(model)
     model.extend_by_grassmannian(model.base, Grassmannian(quadric(9, 0), 2))
     check(model)
-    model.ensure_splitting_tower(real(0, 12))
+    model.extend_by_grassmannian(model.base, Grassmannian(quadric(0, 12), 5))
+    check(model)
+    model.separate([real(0, 20)])
+    assert model.level("base/(17,0)") == 16
     check(model)
     model.register_form(real(11, 0))  # a new form adds no token
     check(model)

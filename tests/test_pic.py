@@ -10,13 +10,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import quadpic
 from quadpic import (
+    BasisExpansion,
     QuadPicError,
     ClassKey,
+    DeclaredLattice,
     DisagreementError,
+    Grassmannian,
     ModelError,
     PicElement,
     ProjectiveQuadric,
@@ -46,6 +49,7 @@ from quadpic import (
     tate_element,
 )
 from quadpic.acceptance import real_forms
+from quadpic.decomp import parse_rost_kind
 from quadpic.tower import active_index, build_tower
 from quadpic.pic import GEN_DET, GEN_E, EqualityVerdict, InverseCheckReport, _sweep
 from test_cli_corpus import TWINS
@@ -614,11 +618,15 @@ def test_basis_round_trip_reproduces_fingerprints(pm):
     st.lists(st.tuples(signatures, st.integers(-2, 2)), min_size=1, max_size=3),
     st.lists(st.tuples(signatures, st.integers(-2, 2)), min_size=1, max_size=3),
 )
+# the base and the closure alone cannot tell these apart: their values agree
+# at both, but their rost:1..3 counts differ
+@example(lhs=[((2, 0), -2), ((4, 0), 3)], rhs=[((8, 0), 1)])
 @settings(deadline=None, max_examples=20)
 def test_class_vector_and_fingerprint_equality_agree(lhs, rhs):
-    # over a lattice holding the splitting towers of everything involved,
-    # the exact route (class vector + base twist) and the fingerprint route
-    # (pointwise values + closure) must reach the same verdict
+    # the separation rule is exact: over the base and one node per level that
+    # the word's forms and primes separate, the exact route (class vector +
+    # base twist) and the fingerprint route (pointwise values + closure) must
+    # reach the same verdict
     model = real_lattice([], depth=0)
     x = identity(model)
     for pm, c in lhs:
@@ -626,15 +634,14 @@ def test_class_vector_and_fingerprint_equality_agree(lhs, rhs):
     y = identity(model)
     for pm, c in rhs:
         y = y * generator_e(real(*pm), model) ** c
-    for pm, _ in lhs + rhs:
-        model.ensure_splitting_tower(real(*pm))
-        model.ensure_splitting_tower(prime(real(*pm)))
-    exact = x.equality(y)
-    assert exact.exact
+    model.separate([f for pm, _ in lhs + rhs for f in (real(*pm), prime(real(*pm)))])
+    # read before equality, whose class vectors may add nodes of their own
     fingerprint_equal = (
         x.fingerprint() == y.fingerprint()
         and x.closure_value() == y.closure_value()
     )
+    exact = x.equality(y)
+    assert exact.exact
     assert exact.equal == fingerprint_equal
 
 
@@ -691,7 +698,7 @@ def test_fingerprint_matches_pointwise_values_as_the_lattice_grows():
 
     # queries add nodes after the fingerprints above were cached
     before = len(model.extension_tokens())
-    model.ensure_splitting_tower(real(0, 16))
+    model.extend_by_grassmannian(model.base, Grassmannian(quadric(0, 16), 7))
     assert independent([real(0, 32), real(0, 16)], model).independent
     assert len(model.extension_tokens()) > before
     for x in elements:
@@ -801,14 +808,83 @@ def _reference_inverse_check(q, model):
     return InverseCheckReport(q.key, expected, tuple(failures))
 
 
+def _reference_towers(model, forms):
+    """The generic splitting tower of each form in turn, walked from the base
+    as the function field of G(Q, dim q // 2 - 1).  A declared lattice builds
+    none and refuses a real form; a real one refuses a declared form."""
+    for q in forms:
+        if isinstance(model, DeclaredLattice):
+            if q.is_real:
+                raise ModelError(f"real form {q.key} is not in the declared table")
+        elif q.dim >= 2:
+            model.extend_by_grassmannian(
+                model.base, Grassmannian(ProjectiveQuadric(q), q.dim // 2 - 1))
+        else:
+            model.anisotropic_part(q, model.base)  # refuses a declared form
+
+
 def _reference_relations(ps, qs, model):
+    """relations_check over the splitting towers of its quadrics."""
+    ps, qs = list(ps), list(qs)
     decs_p = [registered_decomposition(P, model) for P in ps]
     decs_q = [registered_decomposition(Q, model) for Q in qs]
-    for P in ps + qs:
-        model.ensure_splitting_tower(P.canonical_form)
+    _reference_towers(model, [P.canonical_form for P in ps + qs])
     quotient = det_product(ps, model) * det_product(qs, model) ** -1
     fp_verdict = {value for _, value in _reference_sweep(quotient)} == {quotient.closure_value()}
-    return RelationsVerdict(fp_verdict, t_equivalent(decs_p, decs_q, model))
+    tequiv = t_equivalent(decs_p, decs_q, model)
+    if fp_verdict != tequiv:
+        raise DisagreementError(
+            "relation criteria disagree "
+            f"(fingerprints: {fp_verdict}, summand classes: {tequiv}); "
+            "the model or a registered decomposition is broken"
+        )
+    return RelationsVerdict(fp_verdict, tequiv)
+
+
+def _reference_equivalent(p, q, model):
+    """motivically_equivalent over the splitting towers of p and q."""
+    _reference_towers(model, [p.canonical_form, q.canonical_form])
+    witt_route = p.dim == q.dim and all(
+        model.witt_index(p.canonical_form, group[0]) == model.witt_index(q.canonical_form, group[0])
+        for group in model.token_groups()
+    )
+    det_route = det(p, model).equality(det(q, model)).equal
+    if witt_route != det_route:
+        raise DisagreementError(
+            f"equivalence criteria disagree for {p.key} vs {q.key} "
+            f"(profiles: {witt_route}, det: {det_route})"
+        )
+    return witt_route
+
+
+def _reference_basis(x, maxr):
+    """basis_real with its round trip over the splitting towers of x's atoms,
+    their primes and the Pfister forms up to maxr."""
+    model = x.model
+    model.register_form(pfister_real(1))
+    vec = x.det_vector()
+    if vec is None:
+        raise ModelError("missing decompositions for the basis expansion")
+    coords = {}
+    for (cls, kind), n in vec.items():
+        r = parse_rost_kind(kind)
+        if r is None:
+            raise ModelError(f"non-Rost class {cls.render()} in a real element")
+        coords[r] = -n
+    top = max(coords, default=maxr)
+    if top > maxr:
+        raise ModelError(f"insufficient maxr: class of fold {top} present, maxr = {maxr}")
+    expanded = identity(model)
+    for r in sorted(coords):
+        expanded = expanded * generator_e(pfister_real(r), model) ** coords[r]
+    atom_forms = [model.form(key) for (_, key), _ in x.word]
+    primes = [model.prime_of(f) for f in atom_forms]
+    _reference_towers(model, [*atom_forms, *primes, *map(pfister_real, range(1, maxr + 1))])
+    twist = x.base_value() - expanded.base_value()
+    residue = x * (expanded * tate_element(model, twist)) ** -1
+    if any(value for _, value in _reference_sweep(residue)):
+        raise DisagreementError("basis expansion fails the fingerprint round-trip")
+    return BasisExpansion(tuple(sorted(coords.items())), twist)
 
 
 def _outcome(read):
@@ -866,6 +942,131 @@ def test_sweeps_resolving_each_atom_once_match_the_per_group_reference(name, dat
     ps, qs = quadrics[::2], quadrics[1::2]
     assert _outcome(lambda: relations_check(ps, qs, model)) == _outcome(
         lambda: _reference_relations(ps, qs, model))
+
+
+# ------------------------------------------------------------ separation
+
+
+def test_separating_queries_answer_as_the_tower_reference():
+    # each side grows its own lattice, query after query
+    from quadpic.acceptance import (
+        DEFAULT_SEED, _random_quadrics, _tate_shuffle, canonical_quadric_forms)
+
+    def pair(build):
+        return build(), build()
+
+    # criterion 5's 200 seeded pairs
+    rng = random.Random(DEFAULT_SEED)
+    new, ref = pair(lambda: real_lattice(canonical_quadric_forms(10), depth=1))
+    for _ in range(200):
+        lhs = _random_quadrics(rng)
+        rhs = _tate_shuffle(rng, lhs) if rng.random() < 0.5 else _random_quadrics(rng)
+        assert _outcome(lambda: relations_check(lhs, rhs, new)) == _outcome(
+            lambda: _reference_relations(lhs, rhs, ref)), (lhs, rhs)
+
+    # every pair of canonical quadrics of dim <= 8, from an empty lattice
+    new, ref = pair(lambda: real_lattice([], depth=0))
+    quadrics = [ProjectiveQuadric(q) for q in canonical_quadric_forms(8)]
+    for p, q in itertools.combinations_with_replacement(quadrics, 2):
+        assert _outcome(lambda: motivically_equivalent(p, q, new)) == _outcome(
+            lambda: _reference_equivalent(p, q, ref)), (p, q)
+        assert _outcome(lambda: relations_check([p], [q], new)) == _outcome(
+            lambda: _reference_relations([p], [q], ref)), (p, q)
+
+    # det of every (p, m) of dim <= 16 at maxr 4
+    new, ref = pair(lambda: real_lattice([], depth=0))
+    for f in real_forms(16):
+        assert _outcome(lambda: basis_real(det(ProjectiveQuadric(f), new), 4)) == _outcome(
+            lambda: _reference_basis(det(ProjectiveQuadric(f), ref), 4)), f
+
+    # refusals of the other backend's forms and of missing decompositions,
+    # and the twins' verdicts once their classes are declared
+    P, Q = QuadraticForm.declared("P", 5), QuadraticForm.declared("Q", 5)
+    cases = [
+        (relations_check, _reference_relations, ([ProjectiveQuadric(P)], [ProjectiveQuadric(Q)])),
+        (relations_check, _reference_relations, ([quadric(3, 1)], [quadric(2, 0)])),
+        (motivically_equivalent, _reference_equivalent, (ProjectiveQuadric(P), ProjectiveQuadric(Q))),
+        (motivically_equivalent, _reference_equivalent, (quadric(3, 0), quadric(2, 1))),
+        (motivically_equivalent, _reference_equivalent, (ProjectiveQuadric(P), quadric(3, 0))),
+        (motivically_equivalent, _reference_equivalent, (quadric(9, 0), ProjectiveQuadric(P))),
+    ]
+    for build in (twin_declared_model, _twins_with_classes, lambda: real_lattice([], depth=0)):
+        new, ref = pair(build)
+        for query, reference, args in cases:
+            assert _outcome(lambda: query(*args, new)) == _outcome(
+                lambda: reference(*args, ref)), (query.__name__, args)
+        for maxr in (2, 3):
+            assert _outcome(lambda: basis_real(det(quadric(8, 0), new), maxr)) == _outcome(
+                lambda: _reference_basis(det(quadric(8, 0), ref), maxr))
+
+
+# item 3's queries, each with the nodes it adds to a fresh
+# real_lattice(real_forms(8), 2), which holds the levels inf, 8, 4, 2 and 1:
+# separating adds base/(17,0), of level 16, for basis_real's (32,0) alone;
+# base/(16,0) is the class of rost:4, and base/(10,0) the witness of (0,9)
+GROWTH = {
+    "relations (9,0) vs (2,0)": (
+        lambda m: relations_check([quadric(9, 0)], [quadric(2, 0)], m), ["base/(16,0)"]),
+    "relations (12,0) vs (5,1)": (
+        lambda m: relations_check([quadric(12, 0)], [quadric(5, 1)], m), ["base/(16,0)"]),
+    "equivalent (12,0) vs (11,1)": (
+        lambda m: motivically_equivalent(quadric(12, 0), quadric(11, 1), m), ["base/(16,0)"]),
+    "basis det (16,0)": (
+        lambda m: basis_real(det(quadric(16, 0), m), 5), ["base/(16,0)", "base/(17,0)"]),
+    "independent (0,9), (0,1)": (
+        lambda m: independent([real(0, 9), real(0, 1)], m), ["base/(10,0)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+def test_each_query_adds_only_its_missing_levels_and_classes(name):
+    query, expected = GROWTH[name]
+    model = real_lattice(real_forms(8), depth=2)
+    before = model.extension_tokens()
+    assert len(before) == 30
+    query(model)
+    assert sorted(set(model.extension_tokens()) - set(before)) == expected
+
+
+def test_separate_adds_one_node_per_missing_level_once():
+    model = real_lattice([], depth=0)
+    model.extend_by_function_field(model.base, quadric(6, 0))  # level 4
+    # |p - m| = 9 needs the levels 1, 2, 4 and 8, and 4 is held
+    model.separate([real(3, 12), real(2, 0), real(5, 5)])
+    assert {t: model.level(t) for t in model.extension_tokens()} == {
+        "base": math.inf, "base/(2,0)": 1, "base/(3,0)": 2, "base/(6,0)": 4, "base/(9,0)": 8}
+    tokens = model.extension_tokens()
+    for forms in ([real(3, 12), real(2, 0)], [real(0, 9)], [real(1, 1), real(1, 0)], []):
+        model.separate(forms)
+        assert model.extension_tokens() == tokens
+    # a form of the other backend is refused, before any node is added
+    declared_form = QuadraticForm.declared("P", 5)
+    with pytest.raises(ModelError) as exc:
+        model.separate([real(40, 0), declared_form])
+    assert str(exc.value) == "declared form P has no real signature"
+    assert model.extension_tokens() == tokens
+    declared = twin_declared_model()
+    tokens = declared.extension_tokens()
+    declared.separate([declared_form, declared.form("Qp")])
+    with pytest.raises(ModelError) as exc:
+        declared.separate([declared_form, real(3, 0)])
+    assert str(exc.value) == "real form (3,0) is not in the declared table"
+    assert declared.extension_tokens() == tokens
+
+
+def test_det_atoms_and_their_primes_need_no_level_their_quadric_does_not():
+    # why relations_check separates over its quadrics' forms alone
+    model = real_lattice([], depth=0)
+    checked = 0
+    for f in real_forms(24):
+        if f.dim < 2:
+            continue
+        top = max(abs(f.pos - f.neg), 1)
+        for (_, key), _ in det(ProjectiveQuadric(f), model).word:
+            for g in (model.form(key), prime(model.form(key))):
+                assert abs(g.pos - g.neg) <= top, (f, g)
+                checked += 1
+    assert checked == 9752
 
 
 def test_a_sweep_refused_midway_carries_the_reference_text():
