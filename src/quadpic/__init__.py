@@ -11,7 +11,6 @@ from .decomp import (
     Decomposition,
     Summand,
     canonical_class,
-    declare_decomposition,
     decompose_real,
     registered_decomposition,
     t_equivalent,

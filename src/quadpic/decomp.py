@@ -202,24 +202,16 @@ def _check_rank(dec: Decomposition, form_dim: int) -> None:
         )
 
 
-def declare_decomposition(q: QuadraticForm, data, model) -> Decomposition:
-    """Register externally supplied summand data for a declared quadric.
-
-    data must fit the decomposition JSON shape (check_decomposition), and
-    the form must be a declared form of the model.  Classes are resolved
-    through the stable-birational oracle; the rank bookkeeping must close
-    exactly.  Redeclaring with identical data is a no-op, conflicting data
-    is an error.
-    """
-    return _declare(q, check_decomposition(q.key, data), model)
-
-
 def declare_decompositions(table, model) -> None:
     """Declare a --decomps table {form id: decomposition} on a declared lattice.
 
     The checks run in this order, each raising a ModelError: the nesting
     bound, then that the table is a JSON object, then each entry in sorted
-    id order: its shape, the lookup of its form, its declaration.
+    id order: its shape, the lookup of its form, its declaration.  Each
+    entry registers externally supplied summand data for a declared quadric:
+    classes are resolved through the stable-birational oracle, and the rank
+    bookkeeping must close exactly.  Redeclaring with identical data is a
+    no-op, conflicting data is an error.
     """
     check_nesting(table)
     if not isinstance(table, dict):
@@ -231,12 +223,9 @@ def declare_decompositions(table, model) -> None:
 
 
 def _declare(q: QuadraticForm, data: dict, model) -> Decomposition:
-    """declare_decomposition for data already checked against the shape."""
-    if q.is_real:
-        raise ModelError(f"declare_decomposition needs a declared form, got real {q.key}")
-    # a real lattice may hold a real form whose key the declared id spells
-    if not model.holds(q):
-        raise ModelError(f"declared form {q.key} is not registered")
+    """Declare data, already checked against the shape, for the model's form q."""
+    if q.is_real:  # the id names a form of a real lattice
+        raise ModelError(f"decompositions are declared for declared forms only, got real {q.key}")
     quadric = ProjectiveQuadric(q)
     dec = Decomposition.from_json(quadric.key, data)
     resolved = []

@@ -43,8 +43,8 @@ row on the declared backend (a token without a row, as in a hand-built
 lattice, is a group of its own).  add_extension files each token under the
 group that the backend's _index_extension returns: in group_of, a dict, so a
 layer finds a token's group with one subscript, and in the group -> tokens
-store that token_groups lists.  The real map refuses an unknown token; the
-declared map gives it back unchanged for the oracle to refuse.  Lattice-wide
+store that token_groups lists.  The one map refuses an unknown token on both
+backends, so every layer that reads it refuses it first.  Lattice-wide
 sweeps and validate evaluate once per group, real_lattice works out each
 round's kernels once per (level, pos - neg), and every per-extension memo
 holds one entry per group: the Witt memo here, and the memos that the twists
@@ -162,23 +162,14 @@ class ValidationReport(NamedTuple):
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
 
 
-class _RealGroups(dict):
-    """token -> level; an unknown token is refused."""
+class _Groups(dict):
+    """token -> oracle group, the level or the row id; an unknown token is
+    refused, on both backends, before any oracle reads it."""
 
     __slots__ = ()
 
     def __missing__(self, token):
         raise ModelError(f"unknown extension {token!r}")
-
-
-class _DeclaredGroups(dict):
-    """token -> row id; an unknown token comes back unchanged, so the oracle
-    that reads it refuses it in its own order."""
-
-    __slots__ = ()
-
-    def __missing__(self, token):
-        return token
 
 
 class ExtensionLattice:
@@ -187,6 +178,7 @@ class ExtensionLattice:
     def __init__(self):
         self._extensions: dict[str, Extension] = {}
         self._token_order: list[str] | None = None  # sorted tokens, None once stale
+        self.group_of = _Groups()  # token -> oracle group: an answer at a token reads only that
         self._groups: dict[object, list[str]] = {}  # oracle group -> tokens, in insertion order
         self._forms: dict[str, QuadraticForm] = {}
         self._base: str | None = None
@@ -412,7 +404,6 @@ class RealLattice(ExtensionLattice):
 
     def __init__(self):
         super().__init__()
-        self.group_of = _RealGroups()  # token -> level: a real answer reads only that
         self._witt_memo: dict[tuple[str, float], int] = {}  # (form key, level)
 
     def _index_extension(self, ext: Extension, level):
@@ -442,13 +433,13 @@ class RealLattice(ExtensionLattice):
 
     def witt_index(self, q: QuadraticForm, extension: str) -> int:
         level = self.group_of[extension]
-        key = (q.key, level)
-        cached = self._witt_memo.get(key)
-        # a declared id may spell a real key, and must still be refused
-        if cached is not None and q.is_real:
-            return cached
+        # a declared id may spell a real key, so it is refused before the memo
         if not q.is_real:
             raise ModelError(f"declared form {q.key} has no real signature")
+        key = (q.key, level)
+        cached = self._witt_memo.get(key)
+        if cached is not None:
+            return cached
         result = (q.dim - abs(_balanced(q.pos - q.neg, level))) // 2
         self._witt_memo[key] = result
         return result
@@ -521,7 +512,6 @@ class DeclaredLattice(ExtensionLattice):
 
     def __init__(self):
         super().__init__()
-        self.group_of = _DeclaredGroups()  # token -> row id: a declared answer reads only that
         self._witt: dict[str, dict[str, int]] = {}
         self._row_of: dict[str, int] = {}  # token -> interned row id, set by the loader
         self._prime_links: dict[str, str] = {}

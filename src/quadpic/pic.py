@@ -11,12 +11,13 @@ independent equality routes exist:
   pointwise twist values over the lattice, plus a formal closure value
   computed from dimensions alone.
 
-Algorithms that need a separating lattice (relations, the
-motivic-equivalence criterion, the real basis) first call the lattice's
-separate() once on the forms involved.  In the level model a real Witt
-index depends only on the level, so separate adds one node for each level
-at which some index of those forms can differ from its base value and that
-no node holds yet.  A declared lattice is fixed and adds none.
+The two algorithms that need a separating lattice, relations and the real
+basis, first call the lattice's separate() once on the forms whose values
+they compare.  In the level model a real Witt index depends only on the
+level, so separate adds one node for each level at which some index of
+those forms can differ from its base value and that no node holds yet.  A
+declared lattice is fixed and adds none.  The motivic-equivalence criterion
+separates nothing: see motivically_equivalent.
 
 Words already known are not rebuilt.  The lattice's memos["pic"] holds,
 per lattice:
@@ -565,13 +566,20 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
 
 
 def motivically_equivalent(p: ProjectiveQuadric, q: ProjectiveQuadric, model) -> bool:
-    """Same motive: identical Witt profiles, cross-checked against det equality."""
-    model.separate([p.canonical_form, q.canonical_form])
-    witt_route = p.dim == q.dim and all(
+    """Same motive: identical Witt profiles, cross-checked against det equality.
+
+    The Witt route compares the two forms' indices at one token per oracle
+    group, then the dimensions.  It separates nothing: over R two quadrics of
+    equal dimension and equal base Witt index are the same quadric, so the
+    base cell already decides, and a declared lattice is fixed.  The cells
+    are read before the dimensions, so a form of the other backend is always
+    refused by the oracle.
+    """
+    witt_route = all(
         model.witt_index(p.canonical_form, group[0])
         == model.witt_index(q.canonical_form, group[0])
         for group in model.token_groups()
-    )
+    ) and p.dim == q.dim
     det_route = det(p, model).equality(det(q, model)).equal
     if witt_route != det_route:
         raise DisagreementError(
@@ -609,9 +617,11 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     2^(r-1) - 1 of them, whatever the lattice.  So the coordinate at fold r
     is minus the count of rost:r in x's class vector.  The expansion is then
     checked by a fingerprint round trip on the Witt-index route, over a
-    lattice separated for x's atoms, their primes and the Pfister forms up
-    to maxr: the quotient of x by the expansion vanishes at every oracle
-    group, so a wrong expansion cannot be returned.
+    lattice separated for the forms whose values the quotient reads: x's
+    atoms, their primes and the Pfister forms of the expansion's folds (a
+    Pfister prime needs no level of its own).  The quotient of x by the
+    expansion vanishes at every oracle group, so a wrong expansion cannot
+    be returned.
     """
     model = x.model
     # a declared lattice refuses the real Pfister forms, even where maxr asks for none
@@ -633,7 +643,7 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
         expanded = expanded * generator_e(pfister_real(r), model) ** coords[r]
     atom_forms = [model.form(key) for (_, key), _ in x.word]
     model.separate([*atom_forms, *map(model.prime_of, atom_forms),
-                    *map(pfister_real, range(1, maxr + 1))])
+                    *map(pfister_real, coords)])
     twist = x.base_value() - expanded.base_value()
     residue = x * (expanded * tate_element(model, twist)) ** -1
     if any(value for _, value in _sweep(residue)):

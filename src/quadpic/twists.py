@@ -9,7 +9,8 @@ indices alone, the twist value of the affine-quadric generator e^q and of
 det(Q) at an extension of the lattice.  They memoize their values in the
 lattice's memos["twists"], one entry per (form, oracle group), so every
 token of a group shares one evaluation; the group is one subscript of the
-lattice's group_of map.  The memo holds values only; an
+lattice's group_of map, which refuses an unknown token before anything else
+is read.  The memo holds values only; an
 extension or form that the oracle refuses is refused again on every call.
 """
 
@@ -116,12 +117,12 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
 
 def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
     """Twist value of det(Q) at an extension: the split sum at i_W(Q_E)."""
+    group = model.group_of[extension]  # refuses an unknown token, also for the empty quadric
     if quadric.is_empty:
-        model.extension(extension)  # refuses an unknown token
         return ZERO_TWIST
     memo = model.memos["twists"]
     form = quadric.canonical_form
-    key = ("det", quadric.key, form.is_real, model.group_of[extension])
+    key = ("det", quadric.key, form.is_real, group)
     value = memo.get(key)
     if value is None:
         j = model.witt_index(form, extension)

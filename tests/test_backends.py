@@ -15,7 +15,6 @@ from quadpic import (
     ProjectiveQuadric,
     QuadraticForm,
     basis_real,
-    declare_decomposition,
     declared_lattice_from_data,
     decompose_real,
     det,
@@ -28,6 +27,7 @@ from quadpic import (
     relations_check,
     tate_element,
 )
+from quadpic.decomp import declare_decompositions
 from quadpic.twists import TateTwist
 from summand_reference import tate_counts
 
@@ -45,7 +45,7 @@ def twin_lattices():
 
 def test_the_decomposition_registry_keeps_the_backends_apart():
     source, declared = twin_lattices()
-    declare_decomposition(declared.form("(2,1)"), TWO_TATES, declared)
+    declare_decompositions({"(2,1)": TWO_TATES}, declared)
     with pytest.raises(ModelError, match="real form \\(2,1\\) is not in the declared table"):
         registered_decomposition(ProjectiveQuadric(real(2, 1)), declared)
     decompose_real(real(2, 1), source)
@@ -73,10 +73,9 @@ def _rost_summand():
 # name -> misuse, given a real lattice and the declared lattice of its snapshot
 MISUSES = {
     "decompose_real/declared": lambda src, dec: decompose_real(real(2, 1), dec),
-    "declare/real-form-real": lambda src, dec: declare_decomposition(real(2, 1), TWO_TATES, src),
-    "declare/real-form-declared":
-        lambda src, dec: declare_decomposition(real(2, 1), TWO_TATES, dec),
-    "declare/declared-form-real": lambda src, dec: declare_decomposition(SPELLED, TWO_TATES, src),
+    # a table names forms by id, so on a declared lattice every id names a declared form
+    "declare/real-form-real": lambda src, dec: declare_decompositions({"(2,1)": TWO_TATES}, src),
+    "declare/declared-form-real": lambda src, dec: declare_decompositions({"P": TWO_TATES}, src),
     "registered/real-quadric-declared":
         lambda src, dec: registered_decomposition(ProjectiveQuadric(real(3, 1)), dec),
     "registered/declared-quadric-real":
@@ -114,7 +113,7 @@ def test_the_pfister_basis_refuses_a_declared_lattice(element, maxr):
     _, declared = twin_lattices()
     # det gets a class vector, so at maxr = 0 only the lattice's refusal of
     # the real Pfister forms stops identity, tate and det from expanding
-    declare_decomposition(declared.form("(2,1)"), TWO_TATES, declared)
+    declare_decompositions({"(2,1)": TWO_TATES}, declared)
     with pytest.raises(ModelError):
         basis_real(ELEMENTS[element](declared), maxr)
 

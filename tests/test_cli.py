@@ -596,8 +596,14 @@ def _model_with_extensions(extensions):
             [{"id": "x", "construction": "ff:a"}],
             "extension 'x' has neither a parent nor join constituents",
         ),
+        (
+            # a join construction lists its parts between bars
+            [{"id": "a|b", "parent": "k", "construction": "ff:a"}],
+            "extension token 'a|b' may not contain '|'",
+        ),
     ],
-    ids=["join-cycle", "self-join", "gff-plane-count", "unknown-parent", "parentless"],
+    ids=["join-cycle", "self-join", "gff-plane-count", "unknown-parent", "parentless",
+         "bar-in-id"],
 )
 def test_bad_constructions_exit_two(tmp_path, capsys, extensions, message):
     path = tmp_path / "model.json"

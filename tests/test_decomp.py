@@ -8,7 +8,6 @@ from quadpic import (
     ProjectiveQuadric,
     QuadraticForm,
     TateTwist,
-    declare_decomposition,
     declared_lattice_from_data,
     decompose_real,
     lattice_to_data,
@@ -18,7 +17,7 @@ from quadpic import (
 )
 from quadpic.acceptance import real_forms
 from quadpic.cli import main
-from quadpic.decomp import parse_rost_kind
+from quadpic.decomp import declare_decompositions, parse_rost_kind
 from summand_reference import phi_ratio_summand, tate_counts
 
 real = QuadraticForm.real
@@ -29,6 +28,11 @@ signatures = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
 
 def blocks(dec):
     return [(s.kind, s.shift) for s in dec.summands]
+
+
+def registered(model, form_id):
+    """The decomposition registered for the quadric of the model's form."""
+    return registered_decomposition(ProjectiveQuadric(model.form(form_id)), model)
 
 
 def test_pfister_quadrics_are_rost_stacks():
@@ -233,8 +237,8 @@ def rank2_summand(quadric_id):
 
 def test_declared_decomposition_accepted_and_shared_class():
     model = twin_model()
-    d1 = declare_decomposition(model.form("c1"), rank2_summand("c1"), model)
-    d2 = declare_decomposition(model.form("c2"), rank2_summand("c2"), model)
+    declare_decompositions({"c1": rank2_summand("c1"), "c2": rank2_summand("c2")}, model)
+    d1, d2 = registered(model, "c1"), registered(model, "c2")
     # the two level-0 Grassmannians are stably birational: one class id
     assert d1.summands[0].cls == d2.summands[0].cls
     assert t_equivalent([d1], [d2], model)
@@ -245,27 +249,29 @@ def test_declared_rank_mismatch_rejected():
     bad = rank2_summand("c1")
     bad["tates"] = [{"x": 0, "y": 0}]  # rank 3 on a rank-2 motive
     with pytest.raises(ModelError):
-        declare_decomposition(model.form("c1"), bad, model)
+        declare_decompositions({"c1": bad}, model)
 
 
 def test_declared_unknown_grassmannian_rejected():
     model = twin_model()
     with pytest.raises(ModelError) as exc:
-        declare_decomposition(model.form("c1"), rank2_summand("ghost"), model)
+        declare_decompositions({"c1": rank2_summand("ghost")}, model)
     assert str(exc.value) == "summand class over unknown quadric 'ghost'"
     assert model.memos["decompositions"] == {}
 
 
 def test_redeclaration_is_idempotent_but_conflicts_raise():
     model = twin_model()
-    d1 = declare_decomposition(model.form("c1"), rank2_summand("c1"), model)
-    assert declare_decomposition(model.form("c1"), rank2_summand("c1"), model) is d1
+    declare_decompositions({"c1": rank2_summand("c1")}, model)
+    d1 = registered(model, "c1")
+    declare_decompositions({"c1": rank2_summand("c1")}, model)
+    assert registered(model, "c1") is d1
     conflicting = {
         "tates": [{"x": 0, "y": 0}, {"x": 1, "y": 2}],
         "summands": [],
     }
     with pytest.raises(ModelError):
-        declare_decomposition(model.form("c1"), conflicting, model)
+        declare_decompositions({"c1": conflicting}, model)
 
 
 def test_decompose_real_refuses_declared_backend():
@@ -276,7 +282,8 @@ def test_decompose_real_refuses_declared_backend():
 
 def test_declared_summands_have_no_tate_counts():
     model = twin_model()
-    dec = declare_decomposition(model.form("c1"), rank2_summand("c1"), model)
+    declare_decompositions({"c1": rank2_summand("c1")}, model)
+    dec = registered(model, "c1")
     with pytest.raises(ModelError):
         tate_counts(dec.summands[0], "k", model)
 
@@ -308,7 +315,7 @@ def test_declare_decomposition_refuses_malformed_data_as_the_cli_does(
     snapshot = lattice_to_data(real_lattice([real(2, 1)], depth=0))
     model = declared_lattice_from_data(snapshot)
     with pytest.raises(ModelError) as exc:
-        declare_decomposition(model.form("(2,1)"), data, model)
+        declare_decompositions({"(2,1)": data}, model)
     assert str(exc.value) == message
     assert model.memos["decompositions"] == {}
 
@@ -356,18 +363,18 @@ def test_a_refused_summand_class_leaves_no_root_behind():
     # the refused key used to join the union-find before its Grassmannian was
     # built, and every later key was compared against it and refused in turn
     model = declared_lattice_from_data(lattice_to_data(real_lattice(real_forms(4), depth=2)))
-    form = model.form("(2,1)")
 
     def summand(quadric, planes):
         return {"summands": [{"class": {"quadric": quadric, "planes": planes},
                               "shift": 0, "kind": "rost:2"}]}
 
     with pytest.raises(ModelError) as exc:
-        declare_decomposition(form, summand("(3,0)", 3), model)
+        declare_decompositions({"(2,1)": summand("(3,0)", 3)}, model)
     assert str(exc.value) == "G((3,0),3): plane level out of range"
     assert model.memos["classes"] == {}
     assert model.memos["decompositions"] == {}
-    dec = declare_decomposition(form, summand("(2,1)", 0), model)
+    declare_decompositions({"(2,1)": summand("(2,1)", 0)}, model)
+    dec = registered(model, "(2,1)")
     assert [s.cls.render() for s in dec.summands] == ["(2,1)#0"]
     assert list(model.memos["classes"]) == [dec.summands[0].cls]
 
@@ -397,5 +404,6 @@ def test_a_snapshot_declares_back_every_real_decomposition(forms, depth):
     decompositions = {q.key: decompose_real(q, model) for q in forms if q.dim >= 2}
     declared = declared_lattice_from_data(lattice_to_data(model))
     for key, dec in decompositions.items():
-        back = declare_decomposition(declared.form(key), dec.to_json(), declared)
+        declare_decompositions({key: dec.to_json()}, declared)
+        back = registered(declared, key)
         assert back.tates == dec.tates and blocks(back) == blocks(dec)

@@ -16,11 +16,14 @@ from quadpic import (
     Grassmannian,
     ModelError,
     ProjectiveQuadric,
+    ProjectorTower,
     QuadraticForm,
+    RealLattice,
     active_index,
     build_tower,
     declared_lattice_from_data,
     fields,
+    generator_e,
     lattice_to_data,
     parse_model,
     phi_affine,
@@ -1558,9 +1561,11 @@ def test_the_real_group_map_refuses_an_unknown_token_in_every_oracle():
     assert "x" not in model.group_of
 
 
-def test_the_declared_group_map_gives_an_unknown_token_back():
+def test_the_group_map_refuses_an_unknown_token_in_every_layer_on_both_backends():
     model = declared_lattice_from_data(lattice_to_data(real_lattice([real(2, 1)], depth=1)))
-    assert model.group_of["nowhere"] == "nowhere"
+    with pytest.raises(ModelError) as exc:
+        model.group_of["nowhere"]
+    assert str(exc.value) == "unknown extension 'nowhere'"
     assert "nowhere" not in model.group_of
     source = real_lattice(real_forms(8), depth=2)
     twins, snapshot = (declared_lattice_from_data(copy.deepcopy(data))
@@ -1583,9 +1588,46 @@ def test_the_declared_group_map_gives_an_unknown_token_back():
     hand.add_extension(Extension("k(b)", "k", "ff:a"))
     assert hand.token_groups() == [["k"], ["k(a)"], ["k(b)"]]
     assert all(hand.group_of[t] == t for t in hand.extension_tokens())
-    with pytest.raises(ModelError) as exc:
-        phi_affine(model.form("(2,1)"), "nowhere", model)
-    assert str(exc.value) == "unknown extension 'nowhere'"
+
+    # every layer that reads a group refuses an unknown token before anything
+    # else, on both backends, also for a declared form with no prime link
+    pair = declared_lattice_from_data(
+        lattice_to_data(real_lattice([real(3, 0), real(2, 1)], depth=2)))
+    unlinked = pair.form("(1,3)")
+    with pytest.raises(ModelError, match="^declared form \\(1,3\\) has no prime link$"):
+        pair.prime_of(unlinked)
+    lone = real_lattice([real(2, 1)], depth=1)
+    cases = [(twins, twins.form("c1"), QuadraticForm.declared("point", 1)),
+             (pair, pair.form("(2,1)"), QuadraticForm.declared("point", 1)),
+             (pair, unlinked, QuadraticForm.declared("point", 1)),
+             (lone, lone.form("(2,1)"), real(1, 0))]
+    for lattice, q, point in cases:
+        # a form with no prime link has no tower; the group is read before any slot
+        tower = build_tower(q, lattice) if q is not unlinked else ProjectorTower(q, ())
+        reads = {
+            "phi_affine": lambda: phi_affine(q, "nowhere", lattice),
+            "phi_det": lambda: phi_det(ProjectiveQuadric(q), "nowhere", lattice),
+            "phi_det of the empty quadric": lambda: phi_det(ProjectiveQuadric(point), "nowhere", lattice),
+            "active_index": lambda: active_index(tower, "nowhere", lattice),
+            "value_at": lambda: generator_e(q, lattice).value_at("nowhere"),
+        }
+        for name, read in reads.items():
+            with pytest.raises(ModelError) as exc:
+                read()
+            assert str(exc.value) == "unknown extension 'nowhere'", (q.key, name)
+
+
+def test_add_extension_refuses_a_second_base_and_a_base_with_a_parent():
+    for lattice in (DeclaredLattice(), RealLattice()):
+        lattice.add_extension(Extension("k", None, "base"), 0)
+        with pytest.raises(ModelError) as exc:
+            lattice.add_extension(Extension("k2", "k", "base"), 0)
+        assert str(exc.value) == "lattice already has a base extension"
+    for lattice in (DeclaredLattice(), RealLattice()):
+        with pytest.raises(ModelError) as exc:
+            lattice.add_extension(Extension("k", "p", "base"), 0)
+        assert str(exc.value) == "base extension cannot have a parent"
+        assert lattice.extension_tokens() == [] and lattice._base is None
 
 
 def test_a_copied_lattice_grows_its_own_group_map():

@@ -28,7 +28,6 @@ from quadpic import (
     TateTwist,
     all_flags,
     basis_real,
-    declare_decomposition,
     declared_lattice_from_data,
     det,
     det_product,
@@ -49,7 +48,7 @@ from quadpic import (
     tate_element,
 )
 from quadpic.acceptance import real_forms
-from quadpic.decomp import parse_rost_kind
+from quadpic.decomp import declare_decompositions, parse_rost_kind
 from quadpic.tower import active_index, build_tower
 from quadpic.pic import GEN_DET, GEN_E, EqualityVerdict, InverseCheckReport, _sweep
 from test_cli_corpus import TWINS
@@ -491,17 +490,13 @@ def test_declared_twins_are_equivalent_with_equal_det():
 
 
 def declare_two_classes(model, name):
-    declare_decomposition(
-        model.form(name),
-        {
-            "tates": [],
-            "summands": [
-                {"class": {"quadric": name, "planes": 0}, "shift": 0, "kind": "declared"},
-                {"class": {"quadric": name, "planes": 1}, "shift": 1, "kind": "declared"},
-            ],
-        },
-        model,
-    )
+    declare_decompositions({name: {
+        "tates": [],
+        "summands": [
+            {"class": {"quadric": name, "planes": 0}, "shift": 0, "kind": "declared"},
+            {"class": {"quadric": name, "planes": 1}, "shift": 1, "kind": "declared"},
+        ],
+    }}, model)
 
 
 @pytest.mark.parametrize("order", [("P", "Q"), ("Q", "P")])
@@ -528,17 +523,13 @@ def test_declared_relations_need_decompositions():
     with pytest.raises(ModelError):
         relations_check([P], [Q], model)
     for name in ("P", "Q"):
-        declare_decomposition(
-            model.form(name),
-            {
-                "tates": [],
-                "summands": [
-                    {"class": {"quadric": name, "planes": 0}, "shift": 0, "kind": "declared"},
-                    {"class": {"quadric": name, "planes": 1}, "shift": 1, "kind": "declared"},
-                ],
-            },
-            model,
-        )
+        declare_decompositions({name: {
+            "tates": [],
+            "summands": [
+                {"class": {"quadric": name, "planes": 0}, "shift": 0, "kind": "declared"},
+                {"class": {"quadric": name, "planes": 1}, "shift": 1, "kind": "declared"},
+            ],
+        }}, model)
     verdict = relations_check([P], [Q], model)
     assert verdict.fingerprint_equal_mod_tate and verdict.tate_equivalent
 
@@ -651,27 +642,19 @@ def test_class_vector_and_fingerprint_equality_agree(lhs, rhs):
 def test_broken_declared_decomposition_trips_the_cross_check():
     model = twin_declared_model()
     P, Q = ProjectiveQuadric(model.form("P")), ProjectiveQuadric(model.form("Q"))
-    declare_decomposition(
-        model.form("P"),
-        {
-            "tates": [],
-            "summands": [
-                {"class": {"quadric": "P", "planes": 0}, "shift": 0, "kind": "declared"},
-                {"class": {"quadric": "P", "planes": 1}, "shift": 1, "kind": "declared"},
-            ],
-        },
-        model,
-    )
-    declare_decomposition(
-        model.form("Q"),
-        {
-            "tates": [{"x": 0, "y": 0}, {"x": 4, "y": 8}],
-            "summands": [
-                {"class": {"quadric": "Q", "planes": 1}, "shift": 1, "kind": "declared"},
-            ],
-        },
-        model,
-    )
+    declare_decompositions({"P": {
+        "tates": [],
+        "summands": [
+            {"class": {"quadric": "P", "planes": 0}, "shift": 0, "kind": "declared"},
+            {"class": {"quadric": "P", "planes": 1}, "shift": 1, "kind": "declared"},
+        ],
+    }}, model)
+    declare_decompositions({"Q": {
+        "tates": [{"x": 0, "y": 0}, {"x": 4, "y": 8}],
+        "summands": [
+            {"class": {"quadric": "Q", "planes": 1}, "shift": 1, "kind": "declared"},
+        ],
+    }}, model)
     with pytest.raises(DisagreementError):
         relations_check([P], [Q], model)
 
@@ -1001,9 +984,9 @@ def test_separating_queries_answer_as_the_tower_reference():
 
 
 # item 3's queries, each with the nodes it adds to a fresh
-# real_lattice(real_forms(8), 2), which holds the levels inf, 8, 4, 2 and 1:
-# separating adds base/(17,0), of level 16, for basis_real's (32,0) alone;
-# base/(16,0) is the class of rost:4, and base/(10,0) the witness of (0,9)
+# real_lattice(real_forms(8), 2), which holds the levels inf, 8, 4, 2 and 1,
+# so no query needs a level it lacks: base/(16,0) is the class of rost:4, and
+# base/(10,0) the witness of (0,9)
 GROWTH = {
     "relations (9,0) vs (2,0)": (
         lambda m: relations_check([quadric(9, 0)], [quadric(2, 0)], m), ["base/(16,0)"]),
@@ -1012,7 +995,7 @@ GROWTH = {
     "equivalent (12,0) vs (11,1)": (
         lambda m: motivically_equivalent(quadric(12, 0), quadric(11, 1), m), ["base/(16,0)"]),
     "basis det (16,0)": (
-        lambda m: basis_real(det(quadric(16, 0), m), 5), ["base/(16,0)", "base/(17,0)"]),
+        lambda m: basis_real(det(quadric(16, 0), m), 5), ["base/(16,0)"]),
     "independent (0,9), (0,1)": (
         lambda m: independent([real(0, 9), real(0, 1)], m), ["base/(10,0)"]),
 }
@@ -1026,6 +1009,26 @@ def test_each_query_adds_only_its_missing_levels_and_classes(name):
     assert len(before) == 30
     query(model)
     assert sorted(set(model.extension_tokens()) - set(before)) == expected
+
+
+# queries on a fresh real_lattice([], 0), each with the nodes it adds: the
+# equivalence adds the classes of rost:1 to rost:6 and separates nothing; the
+# basis separates for its atoms and fold 2 alone, not for every fold up to maxr
+EMPTY_GROWTH = {
+    "equivalent (41,1) vs (40,0)": (
+        lambda m: motivically_equivalent(quadric(41, 1), quadric(40, 0), m),
+        ["base/(16,0)", "base/(2,0)", "base/(32,0)", "base/(4,0)", "base/(64,0)", "base/(8,0)"]),
+    "basis det (4,0) to fold 6": (
+        lambda m: basis_real(det(quadric(4, 0), m), 6), ["base/(2,0)", "base/(4,0)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_GROWTH))
+def test_a_query_on_an_empty_lattice_adds_only_the_nodes_its_answer_reads(name):
+    query, expected = EMPTY_GROWTH[name]
+    model = real_lattice([], depth=0)
+    query(model)
+    assert sorted(set(model.extension_tokens()) - {"base"}) == expected
 
 
 def test_separate_adds_one_node_per_missing_level_once():

@@ -1,6 +1,7 @@
 """The scripts run from a clean checkout, without PYTHONPATH, and print
 exactly the text below; the output does not depend on the hash seed."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -71,3 +72,36 @@ def test_scripts_run_without_pythonpath(tmp_path):
     demo = _run("real_picard_demo.py", tmp_path)
     assert (demo.returncode, demo.stderr) == (0, "")
     assert demo.stdout == DEMO_OUTPUT
+
+
+SAMPLE = '''"""A module docstring,
+
+over three lines."""
+import os  # a comment after code
+
+# a comment line
+class Box:
+    """A class docstring."""
+
+    def size(self):
+        """A function docstring,
+        over two lines."""
+        text = """a string that is
+        not a docstring"""
+        return len(text)
+'''
+
+
+def test_code_lines_counts_code_but_not_docstrings_comments_or_blank_lines(tmp_path):
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sample = tmp_path / "sample.py"
+    sample.write_text(SAMPLE, encoding="utf-8")
+    # import, class, def, both lines of the string, return
+    assert module.code_lines(sample.read_text(encoding="utf-8")) == 6
+
+    counted = _run("code_lines.py", tmp_path)
+    assert (counted.returncode, counted.stderr) == (0, "")
+    *modules, total = (line.split() for line in counted.stdout.splitlines())
+    assert total[0] == "total" and int(total[1]) == sum(int(n) for _, n in modules)

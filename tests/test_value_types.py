@@ -40,7 +40,6 @@ from quadpic import (
     active_index,
     basis_real,
     build_tower,
-    declare_decomposition,
     declared_lattice_from_data,
     decompose_real,
     det,
@@ -53,6 +52,7 @@ from quadpic import (
     relations_check,
 )
 from quadpic.acceptance import CriterionResult, real_forms
+from quadpic.decomp import declare_decompositions
 from quadpic.fields import Construction
 from quadpic.pic import CertificateStep
 
@@ -532,7 +532,7 @@ def _exercised_lattices():
     for q in forms:
         if q.dim >= 2:
             form = snapshot.form(q.key)
-            declare_decomposition(form, decompose_real(q, model).to_json(), snapshot)
+            declare_decompositions({q.key: decompose_real(q, model).to_json()}, snapshot)
             generator_e(form, snapshot).equality(generator_e(form, snapshot))
     snapshot.validate()
     return model, snapshot
