@@ -13,10 +13,11 @@ and the derived extensions:
   to min(s, 2^(r-1)) where 2^(r-1) < d <= 2^r; isotropic quadrics are
   rational, so their function fields are purely transcendental and keep
   the level.  Nodes are added append-only, and Witt indices are memoized
-  per (form, level), so a node added later at a known level is answered
-  from the memo.  A query that must see every value its forms can take
-  calls separate(forms), which adds one node per level that can matter
-  and that no node holds yet (see RealLattice.separate).
+  in one row per level (form key -> index), so a node added later at a
+  known level is answered from the memo.  A query that must see every
+  value its forms can take calls separate(forms), which adds one node per
+  level that can matter and that no node holds yet (see
+  RealLattice.separate).
 
 * DeclaredLattice -- Witt indices come from an explicit table, kept as one
   row per token (form key -> index) that the loader fills in one pass over
@@ -47,10 +48,15 @@ store that token_groups lists.  The one map refuses an unknown token on both
 backends, so every layer that reads it refuses it first.  Lattice-wide
 sweeps and validate evaluate once per group, real_lattice works out each
 round's kernels once per (level, pos - neg), and every per-extension memo
-holds one entry per group: the Witt memo here, and the memos that the twists
-and tower layers keep in memos[layer].  decomp keeps its registries there
-too, and pic its det words and atom class vectors, keyed by form.  No memo
-key names a token.
+is one row per group, group -> {form id -> value}: the Witt memo here, and
+the memos that the twists and tower layers keep in memos[layer].  A hit is
+one group subscript and one string-keyed get.  The Witt memo takes the form
+key, as RealLattice.witt_index refuses a declared form before it; the twist
+and tower rows take QuadraticForm.memo_id, which keeps a declared id that
+spells a real key apart from the real form.  A row is made in one step (a
+defaultdict for the Witt memo, setdefault above), so concurrent readers of a
+new group share one.  decomp keeps its registries in memos too, and pic its
+det words and atom class vectors, keyed by form.  No memo key names a token.
 extension_tokens keeps its sorted list until add_extension changes the
 tokens, and hands out a copy.
 """
@@ -185,7 +191,7 @@ class ExtensionLattice:
         # the memos and registries of the layers above: twists, tower and pic
         # keep one memo each under their own name, decomp its two registries
         # under "decompositions" and "classes"; each layer owns its keys, and no
-        # key names a token (a per-extension memo keys by oracle group)
+        # key names a token (a per-extension memo is one row per oracle group)
         self.memos: defaultdict[str, dict] = defaultdict(dict)
         self._ancestor_cache: dict[str, frozenset[str]] = {}
 
@@ -404,7 +410,8 @@ class RealLattice(ExtensionLattice):
 
     def __init__(self):
         super().__init__()
-        self._witt_memo: dict[tuple[str, float], int] = {}  # (form key, level)
+        # level -> {form key -> Witt index}; a level's row is made on its first read
+        self._witt_memo: defaultdict[float, dict[str, int]] = defaultdict(dict)
 
     def _index_extension(self, ext: Extension, level):
         if level is None:
@@ -433,15 +440,16 @@ class RealLattice(ExtensionLattice):
 
     def witt_index(self, q: QuadraticForm, extension: str) -> int:
         level = self.group_of[extension]
-        # a declared id may spell a real key, so it is refused before the memo
+        # a declared id may spell a real key, so it is refused before the memo,
+        # which is keyed by key alone
         if not q.is_real:
             raise ModelError(f"declared form {q.key} has no real signature")
-        key = (q.key, level)
-        cached = self._witt_memo.get(key)
+        row = self._witt_memo[level]
+        cached = row.get(q.key)
         if cached is not None:
             return cached
         result = (q.dim - abs(_balanced(q.pos - q.neg, level))) // 2
-        self._witt_memo[key] = result
+        row[q.key] = result
         return result
 
     def anisotropic_part(self, q: QuadraticForm, extension: str) -> QuadraticForm | None:

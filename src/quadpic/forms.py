@@ -19,6 +19,9 @@ from .errors import ModelError
 REAL = "real"
 DECLARED = "declared"
 
+# begins a declared form's memo_id; every real key begins with "("
+DECLARED_MEMO_PREFIX = "declared:"
+
 # one shared instance per real signature handed out by QuadraticForm.real;
 # forms are immutable, so callers can share them, and the table holds one
 # entry per signature ever asked for
@@ -59,12 +62,17 @@ class _Value:
 class QuadraticForm(_Value):
     """A nondegenerate quadratic form: real signature or declared token.
 
-    is_real, dim and key are computed once, when the instance is made, and
-    QuadraticForm.real returns one shared instance per signature.
+    is_real, dim, key and memo_id are computed once, when the instance is
+    made, and QuadraticForm.real returns one shared instance per signature.
+    memo_id names the form in the oracle memo rows, which both backends' forms
+    may reach: it is key for a real form, and the id behind DECLARED_MEMO_PREFIX
+    for a declared one.  No real key begins with that prefix, so a declared id
+    that spells a real key never finds the real form's entry.
     """
 
     # key is the stable identifier: "(p,m)" for real forms, the token otherwise
-    __slots__ = ("kind", "pos", "neg", "ident", "declared_dim", "is_real", "dim", "key")
+    __slots__ = ("kind", "pos", "neg", "ident", "declared_dim", "is_real", "dim", "key",
+                 "memo_id")
 
     def __init__(self, kind: str, pos=0, neg=0, ident="", declared_dim=0) -> None:
         real = kind == REAL
@@ -76,6 +84,7 @@ class QuadraticForm(_Value):
         _set(self, "is_real", real)
         _set(self, "dim", pos + neg if real else declared_dim)
         _set(self, "key", f"({pos},{neg})" if real else ident)
+        _set(self, "memo_id", self.key if real else DECLARED_MEMO_PREFIX + ident)
 
     def _astuple(self) -> tuple:
         return (self.kind, self.pos, self.neg, self.ident, self.declared_dim)

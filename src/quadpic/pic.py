@@ -624,8 +624,9 @@ def basis_real(x: PicElement, maxr: int) -> BasisExpansion:
     be returned.
     """
     model = x.model
-    # a declared lattice refuses the real Pfister forms, even where maxr asks for none
-    model.register_form(pfister_real(1))
+    # a declared lattice refuses the real Pfister forms, even where maxr asks
+    # for none; a real lattice answers the read and registers nothing
+    model.witt_index(pfister_real(1), model.base)
     vec = x.det_vector()
     if vec is None:
         raise ModelError("missing decompositions for the basis expansion")

@@ -7,8 +7,9 @@ closed along the tower, the largest pointed slot is the active index, and
 the twist of e^q reads off from that index alone.  Everything is driven by
 the point-existence oracle; no motive objects appear.
 
-The active index is memoized in the lattice's memos["tower"], one entry per
-(form, oracle group), the group read from the lattice's group_of map.  This route reads neither the twists layer nor its
+The active index is memoized in the lattice's memos["tower"], one row per
+oracle group (form memo_id -> active index), the group read from the
+lattice's group_of map.  This route reads neither the twists layer nor its
 memo, and the twists layer never reads this one, so comparing the two
 routes compares two separate computations.
 """
@@ -57,10 +58,11 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
     raised again on every call.
     """
     memo = model.memos["tower"]
+    group = model.group_of[extension]
+    row = memo.get(group) or memo.setdefault(group, {})  # one row for concurrent readers
     form = tower.form
-    # is_real keeps a declared id that spells a real key off the real entry
-    key = (form.key, form.is_real, model.group_of[extension])
-    active = memo.get(key)
+    # memo_id keeps a declared id that spells a real key off the real entry
+    active = row.get(form.memo_id)
     if active is not None:
         return active
     active = 0
@@ -75,7 +77,7 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
             active = i
         elif gap is None:
             gap = i
-    memo[key] = active
+    row[form.memo_id] = active
     return active
 
 

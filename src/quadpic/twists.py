@@ -7,11 +7,12 @@ comparing, hashing and ordering one are C tuple operations; only its group
 law, rendering and JSON run Python code.  The evaluators below compute, from Witt
 indices alone, the twist value of the affine-quadric generator e^q and of
 det(Q) at an extension of the lattice.  They memoize their values in the
-lattice's memos["twists"], one entry per (form, oracle group), so every
-token of a group shares one evaluation; the group is one subscript of the
-lattice's group_of map, which refuses an unknown token before anything else
-is read.  The memo holds values only; an
-extension or form that the oracle refuses is refused again on every call.
+lattice's memos["twists"], which maps each oracle group to its pair of rows,
+(affine, det), each form memo_id -> value; so every token of a group shares
+one evaluation.  The group is one subscript of the lattice's group_of map,
+which refuses an unknown token before anything else is read.  The memo holds
+values only; an extension or form that the oracle refuses is refused again
+on every call.
 """
 
 from __future__ import annotations
@@ -101,9 +102,11 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
     the value is the difference of the two split sums over P' and P.
     """
     memo = model.memos["twists"]
-    # is_real keeps a declared id that spells a real key off the real entry
-    key = ("affine", q.key, q.is_real, model.group_of[extension])
-    value = memo.get(key)
+    group = model.group_of[extension]
+    # setdefault, so that concurrent readers of a new group share one pair
+    row = (memo.get(group) or memo.setdefault(group, ({}, {})))[0]
+    # memo_id keeps a declared id that spells a real key off the real entry
+    value = row.get(q.memo_id)
     if value is None:
         q_prime = model.prime_of(q)
         j_p = model.witt_index(q, extension)
@@ -111,7 +114,7 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
         value = split_quadric_sum(q_prime.dim - 2, j_pp) - split_quadric_sum(
             q.dim - 2, j_p
         )
-        memo[key] = value
+        row[q.memo_id] = value
     return value
 
 
@@ -121,12 +124,12 @@ def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
     if quadric.is_empty:
         return ZERO_TWIST
     memo = model.memos["twists"]
+    row = (memo.get(group) or memo.setdefault(group, ({}, {})))[1]
     form = quadric.canonical_form
-    key = ("det", quadric.key, form.is_real, group)
-    value = memo.get(key)
+    value = row.get(form.memo_id)
     if value is None:
         j = model.witt_index(form, extension)
         value = split_quadric_sum(quadric.dim, j)
-        memo[key] = value
+        row[form.memo_id] = value
     return value
 

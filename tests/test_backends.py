@@ -124,6 +124,22 @@ def test_the_pfister_basis_still_expands_on_a_real_lattice():
     assert expansion.coords == () and expansion.tate == TateTwist(0, 0)
 
 
+def test_the_pfister_basis_registers_no_form_to_refuse_a_declared_lattice():
+    # the declared lattice is refused by a Witt read, which leaves a real
+    # lattice's registry and snapshot as they were
+    model = real_lattice([], depth=0)
+    snapshot = lattice_to_data(model)
+    assert basis_real(identity(model), 0).coords == ()
+    assert model.form_keys() == []
+    assert lattice_to_data(model) == snapshot
+    _, declared = twin_lattices()
+    keys = declared.form_keys()
+    with pytest.raises(ModelError) as exc:
+        basis_real(identity(declared), 0)
+    assert str(exc.value) == "real form (2,0) is not in the declared table"
+    assert declared.form_keys() == keys
+
+
 def test_no_module_asks_which_backend_it_holds():
     offences = []
     for path in sorted(SRC.glob("*.py")):

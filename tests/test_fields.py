@@ -133,6 +133,15 @@ def _memoized_answers(lattice, q, token):
     )
 
 
+def _memo_entries(model):
+    """The (group, form) entries of the Witt, twist and tower memos, counted per memo."""
+    return [
+        sum(map(len, model._witt_memo.values())),
+        sum(len(affine) + len(det) for affine, det in model.memos["twists"].values()),
+        sum(map(len, model.memos["tower"].values())),
+    ]
+
+
 def test_token_added_at_a_known_level_answers_from_the_memo():
     forms = real_forms(6)
     model = real_lattice(forms, depth=1)
@@ -147,7 +156,8 @@ def test_token_added_at_a_known_level_answers_from_the_memo():
     model.extend_by_grassmannian(model.base, tower)
     added = [t for t in model._extensions if t not in before]
     assert added and all(model.level(t) in levels for t in added)
-    sizes = [len(model._witt_memo), len(model.memos["twists"]), len(model.memos["tower"])]
+    sizes = _memo_entries(model)
+    assert all(sizes)
 
     fresh = real_lattice(forms, depth=1)
     fresh_before = set(fresh._extensions)
@@ -157,7 +167,7 @@ def test_token_added_at_a_known_level_answers_from_the_memo():
     for q in forms:
         for token in added:
             assert _memoized_answers(model, q, token) == _memoized_answers(fresh, q, token)
-    assert [len(model._witt_memo), len(model.memos["twists"]), len(model.memos["tower"])] == sizes
+    assert _memo_entries(model) == sizes
 
 
 # ----------------------------------------------------------- rational points

@@ -153,8 +153,10 @@ def test_a_poisoned_memo_never_feeds_the_other_route():
     assert len(group) > 1
 
     truth = phi_affine(q, token, model)
-    (key,) = model.memos["twists"]  # the one entry phi_affine made
-    model.memos["twists"][key] = truth + TateTwist(1, 0)
+    ((affine, det),) = model.memos["twists"].values()  # the rows of the one group read
+    (key,) = affine  # the one (group, form) entry phi_affine made
+    assert not det
+    affine[key] = truth + TateTwist(1, 0)
     assert phi_affine(q, token, model) != truth
     slot = active_index(tower, token, model)
     assert twist_readoff(slot, q.dim, tower.prime_quadric_dim) == truth
@@ -163,8 +165,9 @@ def test_a_poisoned_memo_never_feeds_the_other_route():
     model = real_lattice(real_forms(6), depth=2)
     clean = real_lattice(real_forms(6), depth=2)
     slot = active_index(tower, token, model)
-    (key,) = model.memos["tower"]  # the one entry active_index made
-    model.memos["tower"][key] = slot - 1
+    (row,) = model.memos["tower"].values()  # the row of the one group read
+    (key,) = row  # the one (group, form) entry active_index made
+    row[key] = slot - 1
     assert active_index(tower, token, model) == slot - 1
     for other in model.extension_tokens():
         assert phi_affine(q, other, model) == phi_affine(q, other, clean)

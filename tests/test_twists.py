@@ -301,8 +301,11 @@ def test_warm_memos_refuse_the_other_backends_forms():
         phi_affine(spelled, "base", source)
     with pytest.raises(ModelError, match="declared form \\(2,1\\) has no real signature"):
         phi_det(ProjectiveQuadric(spelled), "base", source)
-
     q = declared.form("(2,1)")
+    assert active_index(build_tower(real(2, 1)), "base", source) == 3
+    with pytest.raises(ModelError, match="has no real signature"):
+        active_index(build_tower(q, declared), "base", source)
+
     assert phi_affine(q, "base", declared) == affine
     assert phi_det(ProjectiveQuadric(q), "base", declared) == det
     assert active_index(build_tower(q, declared), "base", declared) == 3

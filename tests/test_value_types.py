@@ -484,6 +484,17 @@ def test_value_type_refuses_assignment_and_survives_copies(name):
             assert type(again) is type(a) and again == a and repr(again) == repr(a)
 
 
+def test_a_forms_memo_id_survives_copies_and_pickles():
+    # the oracle memo rows key by memo_id, which __init__ computes; a declared
+    # id that spells a real key gets a memo id that no real form has
+    q, spelled = QuadraticForm.real(2, 1), QuadraticForm.declared("(2,1)", 3)
+    assert q.memo_id == q.key == "(2,1)"
+    assert spelled.key == "(2,1)" and not spelled.memo_id.startswith("(")
+    for form in (q, spelled):
+        for again in (copy.copy(form), copy.deepcopy(form), pickle.loads(pickle.dumps(form))):
+            assert again == form and again.memo_id == form.memo_id
+
+
 def test_slotted_values_never_equal_a_tuple_and_grassmannians_refuse_the_range():
     q = QuadraticForm.real(2, 1)
     assert q != ("real", 2, 1, "", 0) and ProjectiveQuadric(q) != (q,)
