@@ -24,10 +24,7 @@ from .fields import (
     ValidationReport,
     Violation,
     declared_lattice_from_data,
-    lattice_to_data,
-    parse_model,
     real_lattice,
-    serialize_model,
 )
 from .forms import (
     Grassmannian,
@@ -37,6 +34,7 @@ from .forms import (
     prime,
     real_form_from_key,
 )
+from .modelfile import lattice_to_data, parse_model, serialize_model
 from .pic import (
     BasisExpansion,
     Certificate,

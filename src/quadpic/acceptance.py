@@ -15,8 +15,9 @@ import random
 from typing import NamedTuple
 
 from .errors import DisagreementError, ModelError
-from .fields import declared_lattice_from_data, lattice_to_data, parse_construction, real_lattice
+from .fields import declared_lattice_from_data, parse_construction, real_lattice
 from .forms import ProjectiveQuadric, QuadraticForm, prime
+from .modelfile import lattice_to_data
 from .pic import (
     all_flags,
     basis_real,

@@ -17,13 +17,9 @@ import sys
 
 from .decomp import declare_decompositions, registered_decomposition
 from .errors import DisagreementError, ModelError, QuadPicError
-from .fields import (
-    DEFAULT_DEPTH,
-    declared_lattice_from_data,
-    parse_model,
-    real_lattice,
-)
+from .fields import DEFAULT_DEPTH, declared_lattice_from_data, real_lattice
 from .forms import ProjectiveQuadric, QuadraticForm, real_form_from_key
+from .modelfile import parse_model
 from .pic import (
     basis_real,
     det,

@@ -21,27 +21,20 @@ Two registries live in the lattice's memos: "decompositions", keyed by
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import NamedTuple
 
 from .errors import ModelError
-from .fields import check_json, check_nesting
 from .forms import (
     Grassmannian,
     ProjectiveQuadric,
     QuadraticForm,
     pfister_real,
 )
+from .modelfile import decomposition_entries
 from .twists import TateTwist
 
 ROST = "rost"
-
-# the JSON shape of a decomposition, as check_decomposition reads it
-_SUMMAND_SHAPE = (("class", (("quadric", str, True), ("planes", int, True)), True),
-                  ("shift", int, True), ("kind", str, True))
-DECOMPOSITION_SHAPE = (("tates", [(("x", int, True), ("y", int, True))], False),
-                       ("summands", [_SUMMAND_SHAPE], False))
 
 
 class ClassKey(NamedTuple):
@@ -133,19 +126,13 @@ class Decomposition(NamedTuple):
 
     @staticmethod
     def from_json(quadric: str, data: dict) -> "Decomposition":
-        """The decomposition of data that check_decomposition accepts."""
+        """The decomposition of data that modelfile.decomposition_entries accepts."""
         return Decomposition.make(
             quadric,
             [TateTwist.from_json(t) for t in data.get("tates") or []],
             [Summand(ClassKey(s["class"]["quadric"], s["class"]["planes"]), s["shift"], s["kind"])
              for s in data.get("summands") or []],
         )
-
-
-def check_decomposition(form_id: str, data) -> dict:
-    """data, checked against the decomposition JSON shape; a ModelError names
-    the first offending value by its path, decomps["<form id>"]..."""
-    return check_json(data, f"decomps[{json.dumps(form_id)}]", DECOMPOSITION_SHAPE)
 
 
 def _excellent_blocks(model, dim: int, shift: int) -> list[Summand]:
@@ -213,12 +200,8 @@ def declare_decompositions(table, model) -> None:
     bookkeeping must close exactly.  Redeclaring with identical data is a
     no-op, conflicting data is an error.
     """
-    check_nesting(table)
-    if not isinstance(table, dict):
-        raise ModelError(f"decomps must be a JSON object, not {type(table).__name__}")
-    for form_id in sorted(table):
+    for form_id, data in decomposition_entries(table):
         # a malformed entry is reported before its id is looked up
-        data = check_decomposition(form_id, table[form_id])
         _declare(model.form(form_id), data, model)
 
 

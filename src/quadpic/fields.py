@@ -3,7 +3,9 @@ stable-birational oracles.
 
 ExtensionLattice holds the poset of extensions, the form registry, the point
 oracles and validate(); one subclass per backend supplies the Witt oracle
-and the derived extensions:
+and the derived extensions.  real_lattice builds a real lattice, and
+declared_lattice_from_data a declared one from a model file's data, whose
+JSON format modelfile holds:
 
 * RealLattice -- every extension carries a *level* (a power of two, or
   infinity for the formally real base).  The Witt index of a signature
@@ -16,41 +18,32 @@ and the derived extensions:
   in one row per level (form key -> index), so a node added later at a
   known level is answered from the memo.  A query that must see every
   value its forms can take calls separate(forms), which adds one node per
-  level that can matter and that no node holds yet (see
-  RealLattice.separate).
+  level that can matter and that no node holds yet.
 
 * DeclaredLattice -- Witt indices come from an explicit table, kept as one
-  row per token (form key -> index) that the loader fills in one pass over
-  the model's witt section and interns, so that tokens with equal rows share
-  one row id; extensions must pre-exist, so separate adds nothing.
-  Tables are checked by validate(), which takes one row per oracle group,
-  whole where the backend stores it, against four invariant families, each
-  tested once per group or edge (the ceiling per form and the codimension-1
-  step per prime link over the rows, monotonicity per parent or join edge
-  between groups, self-isotropy per token); only a family that fails walks
-  its cells.
+  row per token (form key -> index) that the loader interns, so that tokens
+  with equal rows share one row id; extensions must pre-exist, so separate
+  adds nothing.  Tables are checked by validate().
 
 Oracles are pure given a frozen lattice.  Concurrent reads through every
 oracle memo (witt_index, phi_affine, phi_det, active_index) of a lattice
 that nothing grows meanwhile give the serial answers, which a test checks on
-both backends;
-growing a lattice while others read it is not supported.  memos["pic"] is
-not covered: det and det_vector may register forms and decompositions, so
-they grow the lattice they read.
+both backends; growing a lattice while others read it is not supported.
+memos["pic"] is not covered: det and det_vector may register forms and
+decompositions, so they grow the lattice they read.
 
 Every oracle answer at an extension depends only on its Witt row, so only on
 its oracle group: the level on the real backend, the id of its distinct Witt
 row on the declared backend (a token without a row, as in a hand-built
 lattice, is a group of its own).  add_extension files each token under the
-group that the backend's _index_extension returns: in group_of, a dict, so a
-layer finds a token's group with one subscript, and in the group -> tokens
-store that token_groups lists.  The one map refuses an unknown token on both
-backends, so every layer that reads it refuses it first.  Lattice-wide
-sweeps and validate evaluate once per group, real_lattice works out each
-round's kernels once per (level, pos - neg), and every per-extension memo
-is one row per group, group -> {form id -> value}: the Witt memo here, and
-the memos that the twists and tower layers keep in memos[layer].  A hit is
-one group subscript and one string-keyed get.  The Witt memo takes the form
+group that the backend's _index_extension returns, in group_of (token ->
+group, which refuses an unknown token on both backends) and in the
+group -> tokens store that token_groups lists.  Lattice-wide sweeps and
+validate evaluate once per group, real_lattice works out each round's
+kernels once per (level, pos - neg), and every per-extension memo is one
+row per group, group -> {form id -> value}: the Witt memo here, and the
+memos that the twists and tower layers keep in memos[layer].  A hit is one
+group subscript and one string-keyed get.  The Witt memo takes the form
 key, as RealLattice.witt_index refuses a declared form before it; the twist
 and tower rows take QuadraticForm.memo_id, which keeps a declared id that
 spells a real key apart from the real form.  A row is made in one step (a
@@ -64,9 +57,7 @@ tokens, and hands out a copy.
 from __future__ import annotations
 
 import functools
-import json
 from collections import defaultdict
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import ModelError
@@ -76,6 +67,7 @@ from .forms import (
     QuadraticForm,
     prime,
 )
+from .modelfile import model_sections
 
 INFINITE_LEVEL = float("inf")
 
@@ -108,7 +100,8 @@ class Construction(NamedTuple):
 
 @functools.lru_cache(maxsize=4096)
 def parse_construction(text: str) -> Construction:
-    """Parse any construction string; a non-integer gff plane count is a ModelError."""
+    """Parse any construction string; a gff plane count is a ModelError unless
+    it is written as extend_by_grassmannian writes one, str(n) for an n >= 0."""
     kind, sep, body = text.partition(":")
     if text == CONSTRUCTION_BASE:
         return Construction(text)
@@ -120,9 +113,12 @@ def parse_construction(text: str) -> Construction:
         return Construction(kind, parts=tuple(body.split("|")))
     form, _, planes = body.rpartition(":")
     try:
-        return Construction(kind, form, int(planes))
+        count = int(planes)
     except ValueError:
         raise ModelError(f"gff plane count {planes!r} is not an integer") from None
+    if count < 0 or planes != str(count):
+        raise ModelError(f"gff plane count {planes!r} is not written as a non-negative integer")
+    return Construction(kind, form, count)
 
 
 def _balanced(value: int, level) -> int:
@@ -373,7 +369,7 @@ class ExtensionLattice:
 
         column_of = {k: i for i, k in enumerate(keys)}
         links = [(i, column_of[p.key]) for i, q in enumerate(forms)
-                 if (p := self._registered_prime(q)) is not None]
+                 if (p := self.registered_prime(q)) is not None]
         for i, j in links:
             if not all(row[i] <= row[j] <= row[i] + 1 for row in table):
                 violations.extend(
@@ -434,7 +430,7 @@ class RealLattice(ExtensionLattice):
             raise ModelError(f"declared form {q.key} has no prime link")
         return prime(q)
 
-    def _registered_prime(self, q: QuadraticForm) -> QuadraticForm | None:
+    def registered_prime(self, q: QuadraticForm) -> QuadraticForm | None:
         q_prime = prime(q)
         return q_prime if q_prime.key in self._forms else None
 
@@ -547,7 +543,7 @@ class DeclaredLattice(ExtensionLattice):
             raise ModelError(f"declared form {q.key} has no prime link")
         return self.form(link)
 
-    def _registered_prime(self, q: QuadraticForm) -> QuadraticForm | None:
+    def registered_prime(self, q: QuadraticForm) -> QuadraticForm | None:
         link = self._prime_links.get(q.key)
         return self._forms.get(link) if link is not None else None
 
@@ -678,164 +674,22 @@ def real_lattice(forms=(), depth: int = DEFAULT_DEPTH) -> RealLattice:
 # --------------------------------------------------------- declared models
 
 
-# the JSON shape of each model section, as check_json reads it
-_SCHEMA = {
-    "forms": [(("id", str, True), ("dim", int, True), ("prime", str, False))],
-    "extensions": [(("id", str, True), ("construction", str, True), ("parent", str, False))],
-    "witt": [(("form", str, True), ("extension", str, True), ("index", int, True))],
-}
-
-_TYPE_NAMES = {str: "a string", int: "an integer"}
-
-# JSON arrays and objects nested deeper than this are refused on every Python
-# version.  Each parser stops at its own depth (about 1,000 levels on 3.10 and
-# 3.11, 1,500 on 3.12, 10,000 on 3.13), so the loaders walk, with
-# check_nesting, each model that they refuse or that has a key outside the
-# schema, and each entry alone that has a key outside its shape
-MAX_NESTING = 500
-_TOO_DEEP = "JSON nests deeper than the parser allows"
-
-
-def check_json(value, path: str, shape):
-    """value, checked against shape; an error names the path of the first offending value.
-
-    An object shape is a tuple of (key, field, required) triples, where a
-    field is str, int, an object shape or [object shape] for a list of
-    objects; shape itself is an object shape or a list of one.  A null field
-    counts as absent.  A list of objects is checked in one pass over its
-    entries, with a recursive call only for a nested object or list field.
-    """
-    problem = _misfit(value, shape)
-    if problem is not None:
-        suffix, complaint = problem
-        raise ModelError(f"{path}{suffix} {complaint}")
-    return value
-
-
-def _misfit(value, shape) -> tuple[str, str] | None:
-    """(path suffix, complaint) for the first value that does not fit shape, or None."""
-    if isinstance(shape, tuple):
-        problem = _entries_misfit((value,), shape)
-        return None if problem is None else problem[1:]
-    if not isinstance(value, list):
-        return "", "must be a list"
-    problem = _entries_misfit(value, shape[0])
-    return None if problem is None else (f"[{problem[0]}]{problem[1]}", problem[2])
-
-
-def _entries_misfit(entries, fields) -> tuple[int, str, str] | None:
-    """(index, path suffix, complaint) for the first entry that does not fit
-    the object shape fields, or None; an entry that may hold a key outside
-    fields, whose value nothing reads, goes through check_nesting."""
-    for i, entry in enumerate(entries):
-        if type(entry) is not dict and not isinstance(entry, dict):
-            return i, "", "must be an object"
-        extra = len(entry) - len(fields)  # plus each absent optional field below
-        for key, field, required in fields:
-            item = entry.get(key)
-            if type(item) is field:
-                continue
-            if item is None:
-                if not required:
-                    extra += 1
-                    continue
-                return i, f".{key}", "missing"
-            if field is str or field is int:
-                if isinstance(item, field) and not isinstance(item, bool):
-                    continue
-                return i, f".{key}", f"must be {_TYPE_NAMES[field]}"
-            problem = _misfit(item, field)
-            if problem is not None:
-                return i, f".{key}{problem[0]}", problem[1]
-        if extra > 0:
-            check_nesting(entry)
-    return None
-
-
-def check_nesting(value) -> None:
-    """Refuse a JSON value whose arrays and objects nest more than MAX_NESTING deep."""
-    level = [value]  # the values at one depth
-    for _ in range(MAX_NESTING):
-        level = [item for node in level if isinstance(node, (dict, list))
-                 for item in (node.values() if isinstance(node, dict) else node)]
-        if not level:
-            return
-    if any(isinstance(node, (dict, list)) for node in level):
-        raise ModelError(_TOO_DEEP)
-
-
-def _witt_rows(witt, form_ids, tokens) -> tuple[dict[str, dict[str, int]], str | None]:
-    """The witt section, read in one pass into per-token rows
-    {token: {form id: index}}, and the message of its first entry that names
-    an unknown form or extension or holds a negative or duplicate index
-    (None if none does).
-
-    An entry of the common exact shape is tested inline; at the first other
-    entry, or at the first bad one, check_json reads the whole section, so a
-    shape misfit anywhere in it is raised before any other error.
-    """
-    rows: dict[str, dict[str, int]] = {token: {} for token in tokens}
-    checked = False  # whether check_json has passed the whole section
-    if not isinstance(witt, list):
-        check_json(witt, "witt", _SCHEMA["witt"])  # refuses it
-    for entry in witt:
-        if not (type(entry) is dict and len(entry) == 3
-                and type(form := entry.get("form")) is str
-                and type(token := entry.get("extension")) is str
-                and type(index := entry.get("index")) is int):
-            if not checked:
-                check_json(witt, "witt", _SCHEMA["witt"])
-                checked = True
-            form, token, index = entry["form"], entry["extension"], entry["index"]
-        if form not in form_ids:
-            error = f"witt entry for unknown form {form!r}"
-        elif (row := rows.get(token)) is None:
-            error = f"unknown extension {token!r}"
-        elif index < 0:
-            error = f"negative Witt index for {form} at {token}"
-        elif form in row:
-            error = f"duplicate witt entry for {form} at {token}"
-        else:
-            row[form] = index
-            continue
-        if not checked:  # a later entry may still misfit
-            check_json(witt, "witt", _SCHEMA["witt"])
-        return rows, error
-    return rows, None
-
-
 def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattice:
     """Build a declared lattice from parsed JSON data.
 
-    The witt section is read in one pass (see _witt_rows) before anything is
-    built: each entry's shape is tested, the entry is checked against the
-    form and extension ids of the forms and extensions sections, and its
-    index is filed into its token's row; the rows are interned before any
-    extension is placed, so each token joins its row's oracle group.
-    Errors are rejection errors, in
-    this order: a misfit of the JSON shape (a missing field, a value of the
-    wrong JSON type), first in forms, then extensions, then witt; the
-    structure's own defects (bad ids or constructions, cycles through
-    parents or join constituents, no base); the first bad witt entry
-    (unknown form, unknown extension, negative index, duplicate entry); a
-    non-total table.  With check=True the four Witt invariant families are
-    also enforced, rejecting on any violation.
+    The JSON shape is checked, and the witt section read into per-token rows
+    in one pass, by modelfile.model_sections before anything is built; the
+    rows are interned before any extension is placed, so each token joins
+    its row's oracle group.  Errors are rejection errors, in this order: a
+    misfit of the JSON shape (a missing field, a value of the wrong JSON
+    type), first in forms, then extensions, then witt; the structure's own
+    defects (bad ids or constructions, cycles through parents or join
+    constituents, no base); the first bad witt entry (unknown form, unknown
+    extension, negative index, duplicate entry); a non-total table.  With
+    check=True the four Witt invariant families are also enforced, rejecting
+    on any violation.
     """
-    if not isinstance(data, dict):
-        check_nesting(data)
-        raise ModelError(f"model must be a JSON object, not {type(data).__name__}")
-    if not data.keys() <= _SCHEMA.keys():
-        check_nesting(data)  # a key outside the schema may hold any value
-    try:
-        forms, extensions = (
-            check_json(data.get(name, []), name, _SCHEMA[name]) for name in ("forms", "extensions")
-        )
-        rows, witt_error = _witt_rows(
-            data.get("witt", []), {item["id"] for item in forms}, [item["id"] for item in extensions]
-        )
-    except ModelError:
-        check_nesting(data)  # a misfit may sit beside deeper nesting elsewhere
-        raise
+    forms, extensions, rows, witt_error = model_sections(data)
     model = DeclaredLattice()
     # tokens whose rows hold the same forms, with equal values of the same
     # type, share a row id, and so an oracle group
@@ -924,90 +778,3 @@ def declared_lattice_from_data(data: dict, check: bool = True) -> DeclaredLattic
         if not report.ok:
             raise ModelError("declared model rejected:\n" + report.render())
     return model
-
-
-def lattice_to_data(model: ExtensionLattice) -> dict:
-    """Canonical plain-data snapshot of a lattice's declared content.
-
-    Works for both backends; real lattices export their computed table,
-    which is how valid declared fixtures are produced.
-    """
-    forms = []
-    for key in model.form_keys():
-        q = model._forms[key]
-        entry = {"id": key, "dim": q.dim}
-        q_prime = model._registered_prime(q)
-        if q_prime is not None:
-            entry["prime"] = q_prime.key
-        forms.append(entry)
-    tokens = model.extension_tokens()
-    extensions = []
-    for token in tokens:
-        ext = model._extensions[token]
-        entry = {"id": token, "construction": ext.construction}
-        if ext.parent is not None:
-            entry["parent"] = ext.parent
-        extensions.append(entry)
-    # one Witt row per oracle group, read at the group's first token and
-    # written out for every token of the group
-    first_of = {tok: group[0] for group in model.token_groups() for tok in group}
-    firsts = [tok for tok in tokens if first_of[tok] == tok]
-    witt = []
-    for fk in model.form_keys():
-        q = model.form(fk)
-        row = {first: model.witt_index(q, first) for first in firsts}
-        witt.extend(
-            {"form": fk, "extension": tok, "index": row[first_of[tok]]} for tok in tokens
-        )
-    return {"forms": forms, "extensions": extensions, "witt": witt}
-
-
-# A model section, a list of non-empty flat objects, is encoded by the C
-# encoder in one call, and the joins "},\n      {" between its entries are
-# rewritten into the indented layout.  No encoded string holds a raw newline,
-# so that sequence occurs nowhere else.
-_SECTION_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
-def _model_shaped(data) -> bool:
-    """Whether data is a non-empty object of non-empty lists of non-empty
-    objects whose values are all leaves."""
-    return type(data) is dict and bool(data) and all(
-        type(key) is str and type(section) is list and bool(section)
-        and set(map(type, section)) <= {dict} and all(section)
-        and set(map(type, chain.from_iterable(map(dict.values, section)))) <= _LEAF_TYPES
-        for key, section in data.items()
-    )
-
-
-def serialize_model(data: dict) -> str:
-    """The model file text of data: json.dumps(data, sort_keys=True, indent=2)
-    plus a newline, byte for byte, for every input.
-
-    Model-shaped data (see _model_shaped) is encoded one section at a time by
-    the C encoder; anything else goes through json.dumps itself.
-    """
-    if not _model_shaped(data):
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
-    encode = _SECTION_ENCODER.encode
-    sections = (
-        f"  {encode(key)}: [\n    {{\n      "
-        + encode(data[key])[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        + "\n    }\n  ]"
-        for key in sorted(data)
-    )
-    return "{\n" + ",\n".join(sections) + "\n}\n"
-
-
-def parse_model(text: str):
-    """The JSON value of a model or --decomps file.
-
-    JSON nested deeper than the parser's recursion limit is refused with
-    a ModelError, as any other malformed input is; the loaders refuse
-    shallower nesting past MAX_NESTING with check_nesting.
-    """
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ModelError(_TOO_DEEP) from None

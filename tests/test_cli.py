@@ -588,6 +588,13 @@ def _model_with_extensions(extensions):
             [{"id": "g", "parent": "k", "construction": "gff:a:x"}],
             "extension 'g': gff plane count 'x' is not an integer",
         ),
+        *(
+            # no Grassmannian has a negative plane count, and
+            # extend_by_grassmannian writes a count only as str(n)
+            ([{"id": "g", "parent": "k", "construction": f"gff:a:{planes}"}],
+             f"extension 'g': gff plane count {planes!r} is not written as a non-negative integer")
+            for planes in ("-1", "+1", " 1", "1_0", "01", "-0")
+        ),
         (
             [{"id": "x", "parent": "zz", "construction": "ff:a"}],
             "unknown parent extension 'zz'",
@@ -602,8 +609,9 @@ def _model_with_extensions(extensions):
             "extension token 'a|b' may not contain '|'",
         ),
     ],
-    ids=["join-cycle", "self-join", "gff-plane-count", "unknown-parent", "parentless",
-         "bar-in-id"],
+    ids=["join-cycle", "self-join", "gff-plane-count", "gff-minus-one", "gff-plus-one",
+         "gff-space", "gff-underscore", "gff-leading-zero", "gff-minus-zero", "unknown-parent",
+         "parentless", "bar-in-id"],
 )
 def test_bad_constructions_exit_two(tmp_path, capsys, extensions, message):
     path = tmp_path / "model.json"

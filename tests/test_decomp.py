@@ -329,14 +329,15 @@ def test_declare_decomposition_refuses_malformed_data_as_the_cli_does(
 
 def test_a_decomps_table_checks_each_entry_once_in_the_cli_order(monkeypatch):
     import quadpic.decomp as decomp
+    import quadpic.modelfile as modelfile
 
     snapshot = lattice_to_data(real_lattice([real(2, 1), real(3, 0)], depth=0))
     model = declared_lattice_from_data(snapshot)
     conic = {"summands": [_CONIC_SUMMAND]}
     table = {key: conic for key in ("(3,0)", "(2,1)")}
     checked = []
-    honest = decomp.check_json
-    monkeypatch.setattr(decomp, "check_json",
+    honest = modelfile.check_json
+    monkeypatch.setattr(modelfile, "check_json",
                         lambda value, path, shape: checked.append(path) or honest(value, path, shape))
     decomp.declare_decompositions(table, model)
     assert checked == ['decomps["(2,1)"]', 'decomps["(3,0)"]']

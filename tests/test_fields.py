@@ -25,6 +25,7 @@ from quadpic import (
     fields,
     generator_e,
     lattice_to_data,
+    modelfile,
     parse_model,
     phi_affine,
     phi_det,
@@ -34,8 +35,7 @@ from quadpic import (
     twist_readoff,
 )
 from quadpic.acceptance import real_forms
-from quadpic.decomp import DECOMPOSITION_SHAPE
-from quadpic.fields import _SCHEMA, check_json
+from quadpic.modelfile import _SCHEMA, DECOMPOSITION_SHAPE, check_json
 from test_cli_corpus import TWINS
 
 real = QuadraticForm.real
@@ -453,7 +453,7 @@ def _reference_violations(model):
                 if lo > hi:
                     out.append(("monotonicity", q.key, t, f"i_W drops from {lo} at {anc} to {hi}"))
     for q in forms:
-        p = model._registered_prime(q)
+        p = model.registered_prime(q)
         for t in tokens if p is not None else ():
             low, high = table[(q.key, t)], table[(p.key, t)]
             if not low <= high <= low + 1:
@@ -713,16 +713,16 @@ def _reference_declared_lattice_from_data(data: dict, check: bool = True) -> Dec
     witt_index reads.
     """
     if not isinstance(data, dict):
-        fields.check_nesting(data)
+        modelfile.check_nesting(data)
         raise ModelError(f"model must be a JSON object, not {type(data).__name__}")
     if not data.keys() <= _SCHEMA.keys():
-        fields.check_nesting(data)  # a key outside the schema may hold any value
+        modelfile.check_nesting(data)  # a key outside the schema may hold any value
     try:
         forms, extensions, witt = (
             check_json(data.get(name, []), name, shape) for name, shape in _SCHEMA.items()
         )
     except ModelError:
-        fields.check_nesting(data)  # a misfit may sit beside deeper nesting elsewhere
+        modelfile.check_nesting(data)  # a misfit may sit beside deeper nesting elsewhere
         raise
     model = DeclaredLattice()
 
@@ -926,7 +926,7 @@ def _error_family(outcome) -> str:
     if outcome[0] == "loaded":
         return "loaded"
     text = outcome[1]
-    if re.match(r"(forms|extensions|witt)(\[| must)", text) or text == fields._TOO_DEEP:
+    if re.match(r"(forms|extensions|witt)(\[| must)", text) or text == modelfile._TOO_DEEP:
         return "misfit"
     if text.startswith(("witt entry", "unknown extension", "negative", "duplicate witt")):
         return "bad entry"
@@ -939,7 +939,7 @@ def _error_family(outcome) -> str:
 
 def test_the_one_pass_loader_matches_the_reference_on_damaged_models(monkeypatch):
     good = {"fixture": declared_fixture(), "twins": TWINS}
-    deep = _nested(fields.MAX_NESTING + 100)
+    deep = _nested(modelfile.MAX_NESTING + 100)
 
     def damaged(name, *edits):
         data = copy.deepcopy(good[name])
@@ -985,8 +985,8 @@ def test_the_one_pass_loader_matches_the_reference_on_damaged_models(monkeypatch
         "negative, then misfit": "witt[5].extension must be a string",
         "duplicate, then misfit": "witt[9].form must be a string",
         "unknown extension+cycle": "parent graph has a cycle",
-        "deep extra key": fields._TOO_DEEP,
-        "deep extra key after a bad entry": fields._TOO_DEEP,
+        "deep extra key": modelfile._TOO_DEEP,
+        "deep extra key after a bad entry": modelfile._TOO_DEEP,
         "bool index": "witt[3].index must be an integer",
         "no witt": "witt table misses",
         "witt not a list": "witt must be a list",
@@ -999,7 +999,7 @@ def test_the_one_pass_loader_matches_the_reference_on_damaged_models(monkeypatch
         assert got[0] == ("loaded" if name == "int subclass index" else "refused"), (name, got)
         if name in want:
             assert got[1].startswith(want[name]), (name, got)
-        if got[0] == "refused" and got[1].startswith(("witt[", "witt must", fields._TOO_DEEP)):
+        if got[0] == "refused" and got[1].startswith(("witt[", "witt must", modelfile._TOO_DEEP)):
             assert _placed_under(monkeypatch, declared_lattice_from_data, data) == [], name
     # the int subclass passes through to the snapshot, as the reference keeps it
     assert _Int in _load_outcome(declared_lattice_from_data, cases["int subclass index"], True)[2]
@@ -1283,7 +1283,7 @@ def _nested(depth):
 
 
 def test_nesting_past_the_bound_is_refused_wherever_it_hides():
-    bound = fields.MAX_NESTING
+    bound = modelfile.MAX_NESTING
     base = {"id": "k", "construction": "base"}
     form = {"id": "a", "dim": 2, "prime": "b"}
     forms = [form, {"id": "b", "dim": 3}]
