@@ -46,7 +46,6 @@ from .pic import (
     all_flags,
     basis_real,
     det,
-    det_product,
     generator_e,
     identity,
     independent,

@@ -126,20 +126,21 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _cmd_phi(args) -> int:
     q, model = _form_and_lattice(args)
+    ext = model.base if args.ext is None else args.ext
     values = {}
     if args.route in ("sum", "both"):
-        values["sum"] = phi_affine(q, args.ext, model)
+        values["sum"] = phi_affine(q, ext, model)
     if args.route in ("tower", "both"):
         tower = build_tower(q, model)
-        slot = active_index(tower, args.ext, model)
+        slot = active_index(tower, ext, model)
         values["tower"] = twist_readoff(slot, q.dim, tower.prime_quadric_dim)
     if len(values) == 2 and values["sum"] != values["tower"]:
         raise DisagreementError(
-            f"evaluation routes disagree for {q.key} at {args.ext}: "
+            f"evaluation routes disagree for {q.key} at {ext}: "
             f"{values['sum'].render()} vs {values['tower'].render()}"
         )
     value = next(iter(values.values()))
-    _emit(args, {"command": "phi", "form": q.key, "extension": args.ext,
+    _emit(args, {"command": "phi", "form": q.key, "extension": ext,
                  "route": args.route, "value": value.to_json()}, value.render())
     return EXIT_OK
 
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("phi", help="twist value of e^q at an extension")
     cmd.add_argument("--form", required=True)
-    cmd.add_argument("--ext", default="base")
+    cmd.add_argument("--ext", help="extension token (default: the lattice's base)")
     cmd.add_argument("--route", choices=("sum", "tower", "both"), default="sum",
                      help="closed-form sum, projector-tower read-off, or both (cross-checked)")
     cmd.set_defaults(handler=_cmd_phi)

@@ -41,15 +41,16 @@ group, which refuses an unknown token on both backends) and in the
 group -> tokens store that token_groups lists.  Lattice-wide sweeps and
 validate evaluate once per group, real_lattice works out each round's
 kernels once per (level, pos - neg), and every per-extension memo is one
-row per group, group -> {form id -> value}: the Witt memo here, and the
-memos that the twists and tower layers keep in memos[layer].  A hit is one
-group subscript and one string-keyed get.  The Witt memo takes the form
-key, as RealLattice.witt_index refuses a declared form before it; the twist
-and tower rows take QuadraticForm.memo_id, which keeps a declared id that
-spells a real key apart from the real form.  A row is made in one step (a
-defaultdict for the Witt memo, setdefault above), so concurrent readers of a
-new group share one.  decomp keeps its registries in memos too, and pic its
-det words and atom class vectors, keyed by form.  No memo key names a token.
+row per group, group -> {form id -> value}: the Witt memo here, the memos
+that the twists and tower layers keep in memos[layer], and pic's det value
+rows.  A hit is one group subscript and one string-keyed get.  The Witt
+memo takes the form key, as RealLattice.witt_index refuses a declared form
+before it; the other rows take QuadraticForm.memo_id, which keeps a declared
+id that spells a real key apart from the real form.  A row is made in one
+step (a defaultdict for the Witt memo, setdefault above), so concurrent
+readers of a new group share one.  decomp keeps its registries in memos too,
+and pic its det words and atom class vectors, keyed by form.  No memo key
+names a token.
 extension_tokens keeps its sorted list until add_extension changes the
 tokens, and hands out a copy.
 """
@@ -313,11 +314,11 @@ class ExtensionLattice:
         codim-1 step once per prime link; monotonicity once per (group of a
         parent or join constituent, group of the token) edge, as a drop to an
         ancestor is a drop along some edge; and self-isotropy once per token,
-        whose construction names its cell.  Only a family that fails walks its
-        cells, in the cell-by-cell report order; the monotonicity walk compares
-        each distinct (ancestor group, token group) pair once.  A row that
-        cannot be read whole sends validate to the table family, which reports
-        every unreadable cell.
+        whose construction names its cell, read from its group's row.  Only a
+        family that fails walks its cells, in the cell-by-cell report order;
+        the monotonicity walk compares each distinct (ancestor group, token
+        group) pair once.  A row that cannot be read whole sends validate to
+        the table family, which reports every unreadable cell.
         """
         report = ValidationReport([])
         violations = report.violations
@@ -383,10 +384,10 @@ class ExtensionLattice:
                 continue
             try:
                 form = self.form(own.form)
-                value = self.witt_index(form, tok)
             except ModelError as exc:
                 violations.append(Violation("self-isotropy", own.form, tok, f"unresolvable: {exc}"))
                 continue
+            value = table[row_of[tok]][column_of[form.key]]
             if form.dim >= 2 and value <= own.planes:
                 detail = f"i_W = {value} over its own function field (need > {own.planes})"
                 violations.append(Violation("self-isotropy", form.key, tok, detail))

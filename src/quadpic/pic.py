@@ -13,14 +13,13 @@ independent equality routes exist:
 
 The two algorithms that need a separating lattice, relations and the real
 basis, first call the lattice's separate() once on the forms whose values
-they compare.  In the level model a real Witt index depends only on the
-level, so separate adds one node for each level at which some index of
-those forms can differ from its base value and that no node holds yet.  A
-declared lattice is fixed and adds none.  The motivic-equivalence criterion
-separates nothing: see motivically_equivalent.
+they compare: it adds a node for each level at which an index of those
+forms can differ from its base value and that no node holds yet, and a
+declared lattice adds none.  The motivic-equivalence criterion separates
+nothing: see motivically_equivalent.
 
-Words already known are not rebuilt.  The lattice's memos["pic"] holds,
-per lattice:
+Words and values already known are not rebuilt.  The lattice's memos["pic"]
+holds, per lattice:
 
 * ("det", form key, None or the flag's keys): the sorted word of det(Q) for
   a real quadric, stored once the step generators are registered in that
@@ -28,7 +27,10 @@ per lattice:
 * ("class", gen, key): the class vector of one atom as its registered
   decompositions give it, before the classes are resolved to their current
   roots (roots move when classes merge); a missing decomposition stores
-  nothing, since it may be declared later.
+  nothing, since it may be declared later;
+* ("value",) and ("closure",): relations_check's rows, oracle group ->
+  {memo_id of Q's form -> value of det(Q) there}, and memo_id -> the
+  closure value of det(Q); a refused det stores nothing.
 
 One side of each cross-check never reads memos["pic"]: the class route of
 relations_check (t_equivalent) and the Witt route of motivically_equivalent.
@@ -218,13 +220,9 @@ class PicElement:
         return f"Pic({self.render()})"
 
     def to_json(self) -> dict:
-        return {
-            "tate": self.tate.to_json(),
-            "word": [
-                {"gen": gen, "form": key, "coeff": coeff}
-                for (gen, key), coeff in self.word
-            ],
-        }
+        return {"tate": self.tate.to_json(),
+                "word": [{"gen": gen, "form": key, "coeff": coeff}
+                         for (gen, key), coeff in self.word]}
 
 
 class EqualityVerdict(NamedTuple):
@@ -376,14 +374,8 @@ class InverseCheckReport(NamedTuple):
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "form": self.form,
-            "expected": self.expected.to_json(),
-            "ok": self.ok,
-            "failures": [
-                {"extension": t, "value": v.to_json()} for t, v in self.failures
-            ],
-        }
+        return {"form": self.form, "expected": self.expected.to_json(), "ok": self.ok,
+                "failures": [{"extension": t, "value": v.to_json()} for t, v in self.failures]}
 
 
 def inverse_identity_check(q: QuadraticForm, model) -> InverseCheckReport:
@@ -391,12 +383,8 @@ def inverse_identity_check(q: QuadraticForm, model) -> InverseCheckReport:
     q_prime = model.prime_of(q)
     product = generator_e(q, model) * generator_e(q_prime, model)
     expected = TateTwist(q.dim, 2 * q.dim + 1)
-    failures = sorted(
-        (token, value)
-        for group, value in _sweep(product)
-        if value != expected
-        for token in group
-    )
+    failures = sorted((token, value) for group, value in _sweep(product)
+                      if value != expected for token in group)
     return InverseCheckReport(q.key, expected, tuple(failures))
 
 
@@ -432,12 +420,8 @@ class Refusal(NamedTuple):
     independent = False
 
     def to_json(self) -> dict:
-        return {
-            "independent": False,
-            "refused": True,
-            "reasons": list(self.reasons),
-            "pairs": [list(p) for p in self.pairs],
-        }
+        return {"independent": False, "refused": True, "reasons": list(self.reasons),
+                "pairs": [list(p) for p in self.pairs]}
 
 
 def independent(qs, model):
@@ -529,19 +513,25 @@ class RelationsVerdict(NamedTuple):
         return self._asdict()
 
 
-def det_product(quadrics, model) -> PicElement:
-    out = identity(model)
-    for quadric in quadrics:
-        out = out * det(quadric, model)
-    return out
+def _signed_sum(row: dict, dets: list, read) -> tuple[int, int]:
+    """Sum of sign * row[id] over the (id, det, sign) triples; read(det) fills a gap."""
+    x = y = 0
+    for memo_id, element, sign in dets:
+        value = row.get(memo_id)
+        if value is None:
+            value = row[memo_id] = read(element)
+        x += sign * value[0]
+        y += sign * value[1]
+    return x, y
 
 
 def relations_check(ps, qs, model) -> RelationsVerdict:
     """Cross-check the two relation criteria for det-products.
 
     (1) fingerprint equality modulo one constant Tate twist: the quotient
-    x * y^-1 of the two det-products, evaluated once per oracle group, takes
-    one value everywhere and that value is its formal closure value;
+    x * y^-1 of the two det-products takes one value at every oracle group,
+    and that value is its formal closure value.  Each is summed as +det(P)
+    and -det(Q) from the dets' rows in memos["pic"], so x * y^-1 is not built;
     (2) Tate-shift equivalence of the registered decompositions.  The two
     verdicts must agree; if they do not, the model or a decomposition is
     broken and that is a hard error.
@@ -550,8 +540,15 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
     decs_p = [registered_decomposition(P, model) for P in ps]
     decs_q = [registered_decomposition(Q, model) for Q in qs]
     model.separate([P.canonical_form for P in ps + qs])
-    quotient = det_product(ps, model) * det_product(qs, model) ** -1
-    fp_verdict = {value for _, value in _sweep(quotient)} == {quotient.closure_value()}
+    dets = [(P.form.memo_id, det(P, model), 1) for P in ps]
+    dets += [(Q.form.memo_id, det(Q, model), -1) for Q in qs]
+    memo = model.memos["pic"]
+    rows, sums = memo.setdefault(("value",), {}), set()
+    for tokens in model.token_groups():
+        row = rows.setdefault(model.group_of[tokens[0]], {})
+        sums.add(_signed_sum(row, dets, lambda element: element.value_at(tokens[0])))
+    closures = memo.setdefault(("closure",), {})
+    fp_verdict = sums == {_signed_sum(closures, dets, PicElement.closure_value)}
     tequiv = t_equivalent(decs_p, decs_q, model)
     if fp_verdict != tequiv:
         raise DisagreementError(

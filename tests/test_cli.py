@@ -45,6 +45,19 @@ def test_phi_json_round_trip(capsys):
     assert TateTwist.from_json(payload["value"]) == TateTwist(1, 2)
 
 
+def test_phi_defaults_to_the_models_own_base(tmp_path, capsys):
+    # the base of TWINS is k, so a literal "base" would be an unknown token
+    from test_cli_corpus import TWINS
+
+    path = tmp_path / "twins.json"
+    path.write_text(serialize_model(TWINS), encoding="utf-8")
+    assert run(capsys, "--model", str(path), "phi", "--form", "c1") == (0, "(0)[0]\n", "")
+    code, out, _ = run(capsys, "--json", "--model", str(path), "phi", "--form", "c1")
+    assert code == 0 and json.loads(out)["extension"] == "k"
+    assert run(capsys, "--model", str(path), "phi", "--form", "c1", "--ext", "k(G)") == (
+        0, "(1)[3]\n", "")
+
+
 def test_inverse_check_exit_codes(capsys):
     code, out, _ = run(capsys, "inverse-check", "--form", "(1,1)")
     assert code == 0 and "constant (2)[5]" in out

@@ -29,8 +29,8 @@ from quadpic import (
     all_flags,
     basis_real,
     declared_lattice_from_data,
+    decompose_real,
     det,
-    det_product,
     generator_e,
     identity,
     independent,
@@ -41,6 +41,7 @@ from quadpic import (
     phi_affine,
     phi_det,
     prime,
+    real_form_from_key,
     real_lattice,
     registered_decomposition,
     relations_check,
@@ -806,12 +807,27 @@ def _reference_towers(model, forms):
             model.anisotropic_part(q, model.base)  # refuses a declared form
 
 
-def _reference_relations(ps, qs, model):
-    """relations_check over the splitting towers of its quadrics."""
+def det_product(quadrics, model):
+    """The product of the dets of the quadrics, as the library built it
+    before relations_check summed det value rows instead."""
+    out = identity(model)
+    for quadric in quadrics:
+        out = out * det(quadric, model)
+    return out
+
+
+def _reference_relations(ps, qs, model, separate=False):
+    """relations_check over the splitting towers of its quadrics, or with
+    separate=True over the lattice's separate(); either way it sweeps the
+    rebuilt quotient of the two det-products."""
     ps, qs = list(ps), list(qs)
     decs_p = [registered_decomposition(P, model) for P in ps]
     decs_q = [registered_decomposition(Q, model) for Q in qs]
-    _reference_towers(model, [P.canonical_form for P in ps + qs])
+    forms = [P.canonical_form for P in ps + qs]
+    if separate:
+        model.separate(forms)
+    else:
+        _reference_towers(model, forms)
     quotient = det_product(ps, model) * det_product(qs, model) ** -1
     fp_verdict = {value for _, value in _reference_sweep(quotient)} == {quotient.closure_value()}
     tequiv = t_equivalent(decs_p, decs_q, model)
@@ -1317,3 +1333,135 @@ def test_the_class_route_never_names_the_pic_memo():
     assert inspect.isfunction(quadpic.pic.det)
     assert inspect.isfunction(PicElement.__dict__["det_vector"])
     assert inspect.isfunction(PicElement.__dict__["value_at"])
+
+
+# ------------------------------------------------------- det value rows
+
+
+def _snapshot_with_classes():
+    """The snapshot of real_lattice(real_forms(4), 2), with the real
+    decomposition of each form whose summand classes the snapshot holds."""
+    source = real_lattice(real_forms(4), depth=2)
+    model = declared_lattice_from_data(lattice_to_data(source))
+    keys = set(model.form_keys())
+    table = {}
+    for key in keys:
+        q = real_form_from_key(key)
+        if q.dim >= 2:
+            dec = decompose_real(q, source).to_json()
+            if all(s["class"]["quadric"] in keys for s in dec["summands"]):
+                table[key] = dec
+    declare_decompositions(table, model)
+    return model
+
+
+def _apart_above_the_base():
+    """Declared A and B of dim 5, both anisotropic at the base k: B splits
+    over k(A) and A does not, so det(A) / det(B) takes its closure value
+    (0)[0] at the base but not at k(A)."""
+    rows = {"k": (0, 0), "k(A)": (1, 2), "k(B)": (1, 2), "k(G(A,1))": (2, 2), "k(G(B,1))": (1, 2)}
+    model = declared_lattice_from_data({
+        "forms": [{"id": "A", "dim": 5}, {"id": "B", "dim": 5}],
+        "extensions": [{"id": "k", "construction": "base"}] + [
+            {"id": token, "parent": "k", "construction": construction}
+            for token, construction in (("k(A)", "ff:A"), ("k(B)", "ff:B"),
+                                        ("k(G(A,1))", "gff:A:1"), ("k(G(B,1))", "gff:B:1"))],
+        "witt": [{"form": form, "extension": token, "index": row[i]}
+                 for token, row in rows.items() for i, form in enumerate("AB")],
+    })
+    for name in "AB":
+        declare_two_classes(model, name)
+    return model
+
+
+def test_relations_from_det_rows_answer_as_the_quotient_route():
+    from quadpic.acceptance import (
+        DEFAULT_SEED, _random_quadrics, _tate_shuffle, canonical_quadric_forms)
+
+    def check(new, ref, pairs):
+        for ps, qs in pairs:
+            assert _outcome(lambda: relations_check(ps, qs, new)) == _outcome(
+                lambda: _reference_relations(ps, qs, ref, separate=True)), (ps, qs)
+        # the same nodes, forms and Witt table on both sides
+        assert lattice_to_data(new) == lattice_to_data(ref)
+
+    def fresh(build):
+        return build(), build()
+
+    # criterion 5's seeded pairs
+    rng = random.Random(DEFAULT_SEED)
+    pairs = []
+    for _ in range(200):
+        lhs = _random_quadrics(rng)
+        pairs.append((lhs, _tate_shuffle(rng, lhs) if rng.random() < 0.5 else _random_quadrics(rng)))
+    check(*fresh(lambda: real_lattice(canonical_quadric_forms(10), depth=1)), pairs)
+
+    # before and after separate adds levels: the rows of the old groups are
+    # read again, and each new group gets a row of its own
+    small = [([quadric(3, 0)], [quadric(2, 0)]), ([quadric(3, 1)], [quadric(2, 0)]),
+             ([quadric(2, 2), quadric(3, 0)], [quadric(3, 0)])]
+    big = [([quadric(9, 0)], [quadric(2, 0)]), ([quadric(12, 0)], [quadric(5, 1)]),
+           ([quadric(3, 0), quadric(9, 1)], [quadric(8, 2), quadric(3, 0)])]
+    new, ref = fresh(lambda: real_lattice([], depth=0))
+    check(new, ref, small)
+    groups = len(new.token_groups())
+    check(new, ref, big + small)
+    assert len(new.token_groups()) > groups
+
+    # a deep copy answers as the lattice it was copied from, rows included
+    assert new.memos["pic"][("value",)]
+    new, ref = copy.deepcopy(new), copy.deepcopy(ref)
+    check(new, ref, small + big + [([quadric(16, 0)], [quadric(15, 1)])])
+
+    # a declared snapshot with classes, and the twins with and without them;
+    # a real quadric and a missing decomposition are refused on both sides
+    snapshot = _snapshot_with_classes()
+    declared = [ProjectiveQuadric(snapshot.form(key)) for key in ("(2,1)", "(3,0)", "(1,3)", "(4,1)")]
+    pairs = [([p], [q]) for p, q in itertools.product(declared, repeat=2)]
+    pairs += [(declared[:2], declared[2:]), (declared[1::2] * 2, declared[::2]),
+              ([quadric(3, 0)], [declared[0]]), ([ProjectiveQuadric(snapshot.form("(5,0)"))], []),
+              ([ProjectiveQuadric(snapshot.form("(1,0)"))], [])]
+    check(*fresh(_snapshot_with_classes), pairs)
+    for build, names in ((twin_declared_model, "PQ"), (_twins_with_classes, "PQ"),
+                         (_apart_above_the_base, "AB")):
+        model = build()
+        P, Q = (ProjectiveQuadric(model.form(name)) for name in names)
+        check(*fresh(build), [([P], [Q]), ([P, Q], [P, P]), ([P], []), ([Q], [Q]),
+                              ([P, P], [Q]), ([quadric(3, 0)], [P])])
+
+
+@pytest.mark.parametrize("row", ["value", "closure"])
+def test_a_poisoned_det_row_trips_the_relations_cross_check(row):
+    # the class route never reads the pic memo, so a wrong det value or
+    # closure value shows up as a disagreement
+    P, Q = quadric(3, 1), quadric(2, 0)
+    for ps, qs in (([P], [Q]), ([Q, P], [Q, Q])):
+        model = rich_lattice()
+        assert relations_check(ps, qs, model) == RelationsVerdict(True, True)
+        memo = model.memos["pic"]
+        entries = memo[("closure",)] if row == "closure" else memo[("value",)][
+            model.group_of[model.extension_tokens()[-1]]]
+        entries[P.form.memo_id] += TateTwist(0, 1)
+        with pytest.raises(DisagreementError, match="relation criteria disagree"):
+            relations_check(ps, qs, model)
+
+
+def test_a_repeated_relations_call_evaluates_no_twist(monkeypatch):
+    calls = Counter()
+    for name in ("phi_affine", "phi_det"):
+        evaluate = getattr(quadpic.pic, name)
+        monkeypatch.setattr(quadpic.pic, name, lambda *args, _evaluate=evaluate, _name=name: (
+            calls.update([_name]), _evaluate(*args))[1])
+    twins = _twins_with_classes()
+    P, Q = ProjectiveQuadric(twins.form("P")), ProjectiveQuadric(twins.form("Q"))
+    for model, ps, qs, evaluator in (
+            (rich_lattice(), [quadric(3, 1), quadric(4, 2)], [quadric(2, 0), quadric(5, 0)],
+             "phi_affine"),
+            (twins, [P, Q], [P, P], "phi_det")):
+        calls.clear()
+        first = relations_check(ps, qs, model)
+        assert calls[evaluator] > 0
+        calls.clear()
+        assert relations_check(ps, qs, model) == first
+        assert relations_check(list(reversed(qs)), ps, model) == first
+        assert not calls

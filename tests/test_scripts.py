@@ -103,5 +103,10 @@ def test_code_lines_counts_code_but_not_docstrings_comments_or_blank_lines(tmp_p
 
     counted = _run("code_lines.py", tmp_path)
     assert (counted.returncode, counted.stderr) == (0, "")
-    *modules, total = (line.split() for line in counted.stdout.splitlines())
-    assert total[0] == "total" and int(total[1]) == sum(int(n) for _, n in modules)
+    header, *modules, total = (line.split() for line in counted.stdout.splitlines())
+    assert header == ["module", "code", "lines"] and total[0] == "total"
+    assert [int(n) for n in total[1:]] == [sum(int(row[i]) for row in modules) for i in (1, 2)]
+    # the physical lines, as wc -l counts them
+    package = SCRIPTS.parent / "src" / "quadpic"
+    assert {name: int(lines) for name, _, lines in modules} == {
+        path.name: path.read_text(encoding="utf-8").count("\n") for path in package.glob("*.py")}
