@@ -41,12 +41,12 @@ group, which refuses an unknown token on both backends) and in the
 group -> tokens store that token_groups lists.  Lattice-wide sweeps and
 validate evaluate once per group, real_lattice works out each round's
 kernels once per (level, pos - neg), and every per-extension memo is one
-row per group, group -> {form id -> value}: the Witt memo here, the memos
-that the twists and tower layers keep in memos[layer], and pic's det value
-rows.  A hit is one group subscript and one string-keyed get.  The Witt
-memo takes the form key, as RealLattice.witt_index refuses a declared form
-before it; the other rows take QuadraticForm.memo_id, which keeps a declared
-id that spells a real key apart from the real form.  A row is made in one
+row per group, group -> {form id -> value}: the Witt memo here and the
+memos that the twists and tower layers keep in memos[layer].  A hit is one
+group subscript and one string-keyed get.  The Witt memo takes the form
+key, as RealLattice.witt_index refuses a declared form before it; the other
+rows take QuadraticForm.memo_id, which keeps a declared id that spells a
+real key apart from the real form.  A row is made in one
 step (a defaultdict for the Witt memo, setdefault above), so concurrent
 readers of a new group share one.  decomp keeps its registries in memos too,
 and pic its det words and atom class vectors, keyed by form.  No memo key

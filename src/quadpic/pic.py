@@ -27,14 +27,13 @@ holds, per lattice:
 * ("class", gen, key): the class vector of one atom as its registered
   decompositions give it, before the classes are resolved to their current
   roots (roots move when classes merge); a missing decomposition stores
-  nothing, since it may be declared later;
-* ("value",) and ("closure",): relations_check's rows, oracle group ->
-  {memo_id of Q's form -> value of det(Q) there}, and memo_id -> the
-  closure value of det(Q); a refused det stores nothing.
+  nothing, since it may be declared later.
 
-One side of each cross-check never reads memos["pic"]: the class route of
-relations_check (t_equivalent) and the Witt route of motivically_equivalent.
-A wrong entry therefore shows up as a disagreement.
+relations_check reads neither: its fingerprint side sums phi_det, which
+memos["twists"] keeps per oracle group, and its class route (t_equivalent)
+reads only decomp's registries.  The Witt route of motivically_equivalent
+never reads memos["pic"] either, so a wrong entry there shows up as a
+disagreement.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ class PicElement:
         n = self.model.form(key).dim
         if gen == GEN_E:
             return TateTwist(n // 2, n)
-        return split_quadric_sum(n - 2, n // 2)
+        return _det_closure(n - 2)
 
     def value_at(self, token: str) -> TateTwist:
         return _evaluate(self.tate, _terms(self), token, self.model)
@@ -225,6 +224,12 @@ class PicElement:
                          for (gen, key), coeff in self.word]}
 
 
+def _det_closure(m: int) -> TateTwist:
+    """Closure value of det(Q) for a quadric of dimension m (the empty one
+    too): every one of its (m + 2) // 2 levels splits."""
+    return split_quadric_sum(m, (m + 2) // 2)
+
+
 class EqualityVerdict(NamedTuple):
     equal: bool
     exact: bool
@@ -271,12 +276,17 @@ def tate_element(model, twist: TateTwist) -> PicElement:
     return PicElement(model, tate=twist)
 
 
+def _require_registered(q: QuadraticForm, model) -> None:
+    """Refuse a declared form that the lattice does not hold under its key."""
+    if not q.is_real and not model.holds(q):
+        raise ModelError(f"declared form {q.key} is not registered")
+
+
 def generator_e(q: QuadraticForm, model) -> PicElement:
     """The generator e^q (the shifted reduced motive of {q = 1})."""
     if q.is_real:
         model.register_form(q)
-    elif not model.holds(q):
-        raise ModelError(f"declared form {q.key} is not registered")
+    _require_registered(q, model)
     return PicElement._of_word(model, ZERO_TWIST, (((GEN_E, q.key), 1),))
 
 
@@ -304,8 +314,7 @@ def det(quadric: ProjectiveQuadric, model, flag=None) -> PicElement:
     if not form.is_real:
         if flag is not None:
             raise ModelError("declared quadrics admit no flag data")
-        if not model.holds(form):
-            raise ModelError(f"declared form {form.key} is not registered")
+        _require_registered(form, model)
         return PicElement(model, word={(GEN_DET, form.key): 1})
     if quadric.is_empty:
         if flag:
@@ -513,25 +522,16 @@ class RelationsVerdict(NamedTuple):
         return self._asdict()
 
 
-def _signed_sum(row: dict, dets: list, read) -> tuple[int, int]:
-    """Sum of sign * row[id] over the (id, det, sign) triples; read(det) fills a gap."""
-    x = y = 0
-    for memo_id, element, sign in dets:
-        value = row.get(memo_id)
-        if value is None:
-            value = row[memo_id] = read(element)
-        x += sign * value[0]
-        y += sign * value[1]
-    return x, y
-
-
 def relations_check(ps, qs, model) -> RelationsVerdict:
     """Cross-check the two relation criteria for det-products.
 
     (1) fingerprint equality modulo one constant Tate twist: the quotient
     x * y^-1 of the two det-products takes one value at every oracle group,
     and that value is its formal closure value.  Each is summed as +det(P)
-    and -det(Q) from the dets' rows in memos["pic"], so x * y^-1 is not built;
+    and -det(Q): phi_det at the first token of the group, and the closed
+    form of det's closure value.  Neither the quotient nor a det word is
+    built, so this side reads only the Witt oracle, through phi_det's memo,
+    once a declared form that the lattice does not hold is refused;
     (2) Tate-shift equivalence of the registered decompositions.  The two
     verdicts must agree; if they do not, the model or a decomposition is
     broken and that is a hard error.
@@ -540,15 +540,19 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
     decs_p = [registered_decomposition(P, model) for P in ps]
     decs_q = [registered_decomposition(Q, model) for Q in qs]
     model.separate([P.canonical_form for P in ps + qs])
-    dets = [(P.form.memo_id, det(P, model), 1) for P in ps]
-    dets += [(Q.form.memo_id, det(Q, model), -1) for Q in qs]
-    memo = model.memos["pic"]
-    rows, sums = memo.setdefault(("value",), {}), set()
+    for P in ps + qs:
+        _require_registered(P.form, model)
+    signed = [(P, 1) for P in ps] + [(Q, -1) for Q in qs]
+    sums = set()
     for tokens in model.token_groups():
-        row = rows.setdefault(model.group_of[tokens[0]], {})
-        sums.add(_signed_sum(row, dets, lambda element: element.value_at(tokens[0])))
-    closures = memo.setdefault(("closure",), {})
-    fp_verdict = sums == {_signed_sum(closures, dets, PicElement.closure_value)}
+        token, x, y = tokens[0], 0, 0
+        for P, sign in signed:
+            a, b = phi_det(P, token, model)
+            x += sign * a
+            y += sign * b
+        sums.add((x, y))
+    closure = sum((sign * _det_closure(P.dim) for P, sign in signed), ZERO_TWIST)
+    fp_verdict = sums == {closure}
     tequiv = t_equivalent(decs_p, decs_q, model)
     if fp_verdict != tequiv:
         raise DisagreementError(

@@ -66,6 +66,20 @@ def test_generators_need_the_form_the_lattice_registered(build):
     assert build(declared.form("(2,1)"), declared).word
 
 
+def test_relations_refuse_the_form_the_lattice_did_not_register():
+    # the id names a declared decomposition and a Witt row, but of dim 3: the
+    # fingerprint side must refuse the form before it reads a det value
+    _, declared = twin_lattices()
+    declare_decompositions({"(2,1)": TWO_TATES}, declared)
+    good = ProjectiveQuadric(declared.form("(2,1)"))
+    bad = ProjectiveQuadric(QuadraticForm.declared("(2,1)", 5))
+    for ps, qs in (([bad], []), ([good], [bad]), ([bad], [good])):
+        with pytest.raises(ModelError) as exc:
+            relations_check(ps, qs, declared)
+        assert str(exc.value) == "declared form (2,1) is not registered"
+    assert relations_check([good], [good], declared) == (True, True)
+
+
 def _rost_summand():
     return decompose_real(real(4, 0), real_lattice([], depth=0)).summands[0]
 

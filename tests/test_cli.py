@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -687,3 +689,63 @@ def test_parser_is_built_once():
     from quadpic.cli import build_parser
 
     assert build_parser() is build_parser()
+
+
+def _seeded_verdict_requests(rng, count):
+    """count requests of each verdict command and of basis, on forms of dim <= 9."""
+    def form():
+        n = rng.randint(1, 9)
+        p = rng.randint(0, n)
+        return f"({p},{n - p})"
+
+    def negated(key):
+        p, m = key[1:-1].split(",")
+        return f"({m},{p})"
+
+    def forms(k):
+        return [form() for _ in range(rng.randint(1, k))]
+
+    def other(keys):
+        # half the time the same quadrics, negated and shuffled
+        if rng.random() < 0.5:
+            return [negated(key) for key in rng.sample(keys, len(keys))]
+        return forms(3)
+
+    def definite(k):
+        return [f"({n},0)" for n in rng.sample(range(2, 10), rng.randint(1, k))]
+
+    def factor():
+        return rng.choice(["det", "e"]) + form() + rng.choice(["", "^2", "^-1"])
+
+    def relations():
+        lhs = forms(3)
+        return ["relations", "--lhs", ";".join(lhs), "--rhs", ";".join(other(lhs))]
+
+    def equiv():
+        left = form()
+        return ["equiv", "--left", left, "--right", other([left])[0]]
+
+    makers = [
+        relations,
+        equiv,
+        lambda: ["independent", "--forms", ";".join(rng.choice([forms, definite])(3))],
+        lambda: ["inverse-check", "--form", form()],
+        lambda: ["basis", "--expr", " * ".join(factor() for _ in range(rng.randint(1, 3))),
+                 "--maxr", str(rng.randint(1, 4))],
+    ]
+    return [["--json"] * (rng.random() < 0.3) + make() for make in makers for _ in range(count)]
+
+
+def test_verdicts_do_not_depend_on_the_lattice_depth(capsys):
+    # a query separates or extends the lattice by what its answer reads, so
+    # the depth of the generic-splitting tower built up front changes no output
+    codes = Counter()
+    # two pairs whose det-products agree at the base and at level 8 and
+    # part only at levels 4 and 2
+    near_misses = [["relations", "--lhs", "(2,0);(6,0)", "--rhs", "(4,0);(5,0)"],
+                   ["relations", "--lhs", "(3,1);(6,0)", "--rhs", "(5,1);(6,1)"]]
+    for argv in _seeded_verdict_requests(random.Random(31), 40) + near_misses:
+        outputs = {run(capsys, "--lattice-depth", str(depth), *argv) for depth in range(4)}
+        assert len(outputs) == 1, (argv, outputs)
+        codes[outputs.pop()[0]] += 1
+    assert codes[0] and codes[1] and codes[2]  # true, false and refused verdicts alike

@@ -809,7 +809,7 @@ def _reference_towers(model, forms):
 
 def det_product(quadrics, model):
     """The product of the dets of the quadrics, as the library built it
-    before relations_check summed det value rows instead."""
+    before relations_check summed det values per oracle group instead."""
     out = identity(model)
     for quadric in quadrics:
         out = out * det(quadric, model)
@@ -1311,16 +1311,15 @@ def test_a_copied_lattice_answers_as_the_original():
 
 
 def test_a_poisoned_det_entry_trips_both_cross_checks():
-    # the class route of relations_check and the Witt route of
-    # motivically_equivalent never read the pic memo, so a wrong det word
-    # shows up as a disagreement instead of passing both sides
+    # relations_check reads no det word, so its answer stays as it was; the
+    # Witt route of motivically_equivalent never reads the pic memo, so a
+    # wrong det word shows up as a disagreement instead of passing both sides
     model = rich_lattice()
     P, Q = quadric(3, 0), quadric(2, 1)
     wrong = det(Q, model).word
     det(P, model)
     model.memos["pic"][("det", "(3,0)", None)] = wrong
-    with pytest.raises(DisagreementError):
-        relations_check([P], [Q], model)
+    assert relations_check([P], [Q], model) == relations_check([P], [Q], rich_lattice())
     with pytest.raises(DisagreementError):
         motivically_equivalent(P, Q, model)
 
@@ -1335,7 +1334,7 @@ def test_the_class_route_never_names_the_pic_memo():
     assert inspect.isfunction(PicElement.__dict__["value_at"])
 
 
-# ------------------------------------------------------- det value rows
+# ------------------------------------------- relations on phi_det's rows
 
 
 def _snapshot_with_classes():
@@ -1378,15 +1377,22 @@ def test_relations_from_det_rows_answer_as_the_quotient_route():
     from quadpic.acceptance import (
         DEFAULT_SEED, _random_quadrics, _tate_shuffle, canonical_quadric_forms)
 
-    def check(new, ref, pairs):
+    def check(new, ref, alone, pairs):
         for ps, qs in pairs:
             assert _outcome(lambda: relations_check(ps, qs, new)) == _outcome(
                 lambda: _reference_relations(ps, qs, ref, separate=True)), (ps, qs)
-        # the same nodes, forms and Witt table on both sides
-        assert lattice_to_data(new) == lattice_to_data(ref)
+            for P in ps + qs:
+                _outcome(lambda: registered_decomposition(P, alone))
+        # the nodes and Witt indices of the reference, which also registers
+        # det's step generators: relations registers only the forms that the
+        # quadrics' decompositions register
+        data, ref_data = lattice_to_data(new), lattice_to_data(ref)
+        assert data["extensions"] == ref_data["extensions"]
+        assert all(entry in ref_data["witt"] for entry in data["witt"])
+        assert new.form_keys() == alone.form_keys()
 
     def fresh(build):
-        return build(), build()
+        return build(), build(), build()
 
     # criterion 5's seeded pairs
     rng = random.Random(DEFAULT_SEED)
@@ -1402,16 +1408,15 @@ def test_relations_from_det_rows_answer_as_the_quotient_route():
              ([quadric(2, 2), quadric(3, 0)], [quadric(3, 0)])]
     big = [([quadric(9, 0)], [quadric(2, 0)]), ([quadric(12, 0)], [quadric(5, 1)]),
            ([quadric(3, 0), quadric(9, 1)], [quadric(8, 2), quadric(3, 0)])]
-    new, ref = fresh(lambda: real_lattice([], depth=0))
-    check(new, ref, small)
-    groups = len(new.token_groups())
-    check(new, ref, big + small)
-    assert len(new.token_groups()) > groups
+    lattices = fresh(lambda: real_lattice([], depth=0))
+    check(*lattices, small)
+    groups = len(lattices[0].token_groups())
+    check(*lattices, big + small)
+    assert len(lattices[0].token_groups()) > groups
 
     # a deep copy answers as the lattice it was copied from, rows included
-    assert new.memos["pic"][("value",)]
-    new, ref = copy.deepcopy(new), copy.deepcopy(ref)
-    check(new, ref, small + big + [([quadric(16, 0)], [quadric(15, 1)])])
+    assert lattices[0].memos["twists"]
+    check(*copy.deepcopy(lattices), small + big + [([quadric(16, 0)], [quadric(15, 1)])])
 
     # a declared snapshot with classes, and the twins with and without them;
     # a real quadric and a missing decomposition are refused on both sides
@@ -1430,38 +1435,68 @@ def test_relations_from_det_rows_answer_as_the_quotient_route():
                               ([P, P], [Q]), ([quadric(3, 0)], [P])])
 
 
-@pytest.mark.parametrize("row", ["value", "closure"])
-def test_a_poisoned_det_row_trips_the_relations_cross_check(row):
-    # the class route never reads the pic memo, so a wrong det value or
-    # closure value shows up as a disagreement
-    P, Q = quadric(3, 1), quadric(2, 0)
-    for ps, qs in (([P], [Q]), ([Q, P], [Q, Q])):
-        model = rich_lattice()
-        assert relations_check(ps, qs, model) == RelationsVerdict(True, True)
-        memo = model.memos["pic"]
-        entries = memo[("closure",)] if row == "closure" else memo[("value",)][
-            model.group_of[model.extension_tokens()[-1]]]
-        entries[P.form.memo_id] += TateTwist(0, 1)
-        with pytest.raises(DisagreementError, match="relation criteria disagree"):
-            relations_check(ps, qs, model)
+def _twin_pair(ps, qs):
+    model = _twins_with_classes()
+    return model, *([ProjectiveQuadric(model.form(name)) for name in side] for side in (ps, qs))
+
+
+# name -> (model, ps, qs), each on a fresh lattice
+RELATIONS_CASES = {
+    "equal": lambda: (rich_lattice(), [quadric(3, 1)], [quadric(2, 0)]),
+    "equal-repeated": lambda: (rich_lattice(), [quadric(2, 0), quadric(3, 1)],
+                               [quadric(2, 0), quadric(2, 0)]),
+    "unequal": lambda: (rich_lattice(), [quadric(3, 0)], [quadric(2, 0)]),
+    "unequal-mixed": lambda: (rich_lattice(), [quadric(5, 2), quadric(3, 1)],
+                              [quadric(4, 0), quadric(6, 1)]),
+    "twins-equal": lambda: _twin_pair("P", "Q"),
+    "twins-unequal": lambda: _twin_pair("PQ", "PPQ"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELATIONS_CASES))
+def test_a_poisoned_det_row_trips_the_relations_cross_check(case):
+    # the class route never reads memos["twists"], so a wrong det value in
+    # one of phi_det's rows either trips the cross-check or, where the pair
+    # is unequal anyway, leaves the verdict as it was
+    model, ps, qs = RELATIONS_CASES[case]()
+
+    def entries():
+        return {(group, memo_id) for group, (_, dets) in model.memos["twists"].items()
+                for memo_id in dets}
+
+    before = entries()
+    verdict = relations_check(ps, qs, model)
+    filled = entries() - before
+    # a det value at every oracle group, the ones separate added included
+    assert {group for group, _ in filled} == {model.group_of[g[0]] for g in model.token_groups()}
+    for group, memo_id in sorted(filled, key=repr):
+        row = model.memos["twists"][group][1]
+        value = row[memo_id]
+        row[memo_id] = value + TateTwist(0, 1)
+        outcome = _outcome(lambda: relations_check(ps, qs, model))
+        row[memo_id] = value
+        if verdict.tate_equivalent:
+            assert outcome[0] == "DisagreementError", (group, memo_id)
+        else:
+            assert outcome == ("ok", verdict) or outcome[0] == "DisagreementError", (group, memo_id)
+    assert relations_check(ps, qs, model) == verdict
 
 
 def test_a_repeated_relations_call_evaluates_no_twist(monkeypatch):
-    calls = Counter()
-    for name in ("phi_affine", "phi_det"):
-        evaluate = getattr(quadpic.pic, name)
-        monkeypatch.setattr(quadpic.pic, name, lambda *args, _evaluate=evaluate, _name=name: (
-            calls.update([_name]), _evaluate(*args))[1])
+    # a repeated call finds every det value in phi_det's rows, so it reads
+    # no Witt cell
     twins = _twins_with_classes()
     P, Q = ProjectiveQuadric(twins.form("P")), ProjectiveQuadric(twins.form("Q"))
-    for model, ps, qs, evaluator in (
-            (rich_lattice(), [quadric(3, 1), quadric(4, 2)], [quadric(2, 0), quadric(5, 0)],
-             "phi_affine"),
-            (twins, [P, Q], [P, P], "phi_det")):
-        calls.clear()
+    for model, ps, qs in (
+            (rich_lattice(), [quadric(3, 1), quadric(4, 2)], [quadric(2, 0), quadric(5, 0)]),
+            (twins, [P, Q], [P, P])):
+        reads = []
+        witt_index = model.witt_index
+        monkeypatch.setattr(model, "witt_index",
+                            lambda *args: reads.append(args) or witt_index(*args))
         first = relations_check(ps, qs, model)
-        assert calls[evaluator] > 0
-        calls.clear()
+        assert reads
+        reads.clear()
         assert relations_check(ps, qs, model) == first
         assert relations_check(list(reversed(qs)), ps, model) == first
-        assert not calls
+        assert not reads
