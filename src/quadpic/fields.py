@@ -37,20 +37,21 @@ its oracle group: the level on the real backend, the id of its distinct Witt
 row on the declared backend (a token without a row, as in a hand-built
 lattice, is a group of its own).  add_extension files each token under the
 group that the backend's _index_extension returns, in group_of (token ->
-group, which refuses an unknown token on both backends) and in the
-group -> tokens store that token_groups lists.  Lattice-wide sweeps and
-validate evaluate once per group, real_lattice works out each round's
-kernels once per (level, pos - neg), and every per-extension memo is one
-row per group, group -> {form id -> value}: the Witt memo here and the
-memos that the twists and tower layers keep in memos[layer].  A hit is one
-group subscript and one string-keyed get.  The Witt memo takes the form
-key, as RealLattice.witt_index refuses a declared form before it; the other
-rows take QuadraticForm.memo_id, which keeps a declared id that spells a
-real key apart from the real form.  A row is made in one
-step (a defaultdict for the Witt memo, setdefault above), so concurrent
-readers of a new group share one.  decomp keeps its registries in memos too,
-and pic its det words and atom class vectors, keyed by form.  No memo key
-names a token.
+group) and in the group -> tokens store that token_groups lists, and hands
+it its group's memo rows in rows_of (token -> {row name -> {form id ->
+value}}); both maps refuse an unknown token on both backends.  The rows of
+a group are made when the group is first filed, one per name of
+ORACLE_ROWS, and every token of the group shares them, so a memo read is
+rows_of[token][name] and one string-keyed get.  Lattice-wide sweeps and
+validate evaluate once per group, and real_lattice works out each round's
+kernels once per (level, pos - neg).  The "witt" row is the real backend's
+Witt memo, keyed by form key, as RealLattice.witt_index refuses a declared
+form before it; the twists layer's "affine" and "det" rows and the tower
+layer's "tower" row take QuadraticForm.memo_id, which keeps a declared id
+that spells a real key, or names a registered id at another dimension,
+apart from the registered form.  decomp keeps its registries in memos, and
+pic its det words and atom class vectors, keyed by form.  No memo key names
+a token.
 extension_tokens keeps its sorted list until add_extension changes the
 tokens, and hands out a copy.
 """
@@ -165,9 +166,15 @@ class ValidationReport(NamedTuple):
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
 
 
+# the memo rows of every oracle group: the real backend's Witt row, the
+# twists layer's two split-sum rows and the tower layer's active-index row
+ORACLE_ROWS = ("witt", "affine", "det", "tower")
+
+
 class _Groups(dict):
-    """token -> oracle group, the level or the row id; an unknown token is
-    refused, on both backends, before any oracle reads it."""
+    """token -> its oracle group (the level or the row id) or its group's
+    memo rows; an unknown token is refused, on both backends, before any
+    oracle reads it."""
 
     __slots__ = ()
 
@@ -182,13 +189,14 @@ class ExtensionLattice:
         self._extensions: dict[str, Extension] = {}
         self._token_order: list[str] | None = None  # sorted tokens, None once stale
         self.group_of = _Groups()  # token -> oracle group: an answer at a token reads only that
+        self.rows_of = _Groups()  # token -> its group's memo rows, shared by the group's tokens
         self._groups: dict[object, list[str]] = {}  # oracle group -> tokens, in insertion order
         self._forms: dict[str, QuadraticForm] = {}
         self._base: str | None = None
-        # the memos and registries of the layers above: twists, tower and pic
-        # keep one memo each under their own name, decomp its two registries
-        # under "decompositions" and "classes"; each layer owns its keys, and no
-        # key names a token (a per-extension memo is one row per oracle group)
+        # the registries and memos of the layers above that are not rows of an
+        # oracle group: decomp's two registries under "decompositions" and
+        # "classes", pic's memo under "pic"; each layer owns its keys, and no
+        # key names a token
         self.memos: defaultdict[str, dict] = defaultdict(dict)
         self._ancestor_cache: dict[str, frozenset[str]] = {}
 
@@ -231,7 +239,14 @@ class ExtensionLattice:
         group = self._index_extension(ext, level)
         self._extensions[ext.token] = ext
         self.group_of[ext.token] = group
-        self._groups.setdefault(group, []).append(ext.token)
+        tokens = self._groups.get(group)
+        if tokens is None:
+            tokens = self._groups[group] = []
+            rows = {name: {} for name in ORACLE_ROWS}
+        else:
+            rows = self.rows_of[tokens[0]]
+        tokens.append(ext.token)
+        self.rows_of[ext.token] = rows
         self._token_order = None
         return ext.token
 
@@ -269,6 +284,11 @@ class ExtensionLattice:
     def holds(self, q: QuadraticForm) -> bool:
         """Whether q is the form registered under its key."""
         return self._forms.get(q.key) == q
+
+    def require_held(self, q: QuadraticForm) -> None:
+        """Refuse a declared form that the lattice does not hold under its key."""
+        if not q.is_real and self._forms.get(q.key) != q:
+            raise ModelError(f"declared form {q.key} is not registered")
 
     def ancestors(self, token: str) -> frozenset[str]:
         """Strict ancestors: parents and join constituents, transitively.
@@ -405,11 +425,6 @@ class ExtensionLattice:
 class RealLattice(ExtensionLattice):
     """The real level model: nodes are made on demand, Witt indices memoized."""
 
-    def __init__(self):
-        super().__init__()
-        # level -> {form key -> Witt index}; a level's row is made on its first read
-        self._witt_memo: defaultdict[float, dict[str, int]] = defaultdict(dict)
-
     def _index_extension(self, ext: Extension, level):
         if level is None:
             raise ModelError("real-backend extension needs a level")
@@ -436,16 +451,15 @@ class RealLattice(ExtensionLattice):
         return q_prime if q_prime.key in self._forms else None
 
     def witt_index(self, q: QuadraticForm, extension: str) -> int:
-        level = self.group_of[extension]
+        row = self.rows_of[extension]["witt"]
         # a declared id may spell a real key, so it is refused before the memo,
         # which is keyed by key alone
         if not q.is_real:
             raise ModelError(f"declared form {q.key} has no real signature")
-        row = self._witt_memo[level]
         cached = row.get(q.key)
         if cached is not None:
             return cached
-        result = (q.dim - abs(_balanced(q.pos - q.neg, level))) // 2
+        result = (q.dim - abs(_balanced(q.pos - q.neg, self.group_of[extension]))) // 2
         row[q.key] = result
         return result
 

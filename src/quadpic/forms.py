@@ -65,9 +65,11 @@ class QuadraticForm(_Value):
     is_real, dim, key and memo_id are computed once, when the instance is
     made, and QuadraticForm.real returns one shared instance per signature.
     memo_id names the form in the oracle memo rows, which both backends' forms
-    may reach: it is key for a real form, and the id behind DECLARED_MEMO_PREFIX
-    for a declared one.  No real key begins with that prefix, so a declared id
-    that spells a real key never finds the real form's entry.
+    may reach: it is key for a real form, and for a declared one its dimension
+    and id, "<dim>:<id>", behind DECLARED_MEMO_PREFIX.  No real key begins with
+    that prefix, so a declared id that spells a real key never finds the real
+    form's entry, and a declared id at another dimension never finds the entry
+    of the form registered under that id.
     """
 
     # key is the stable identifier: "(p,m)" for real forms, the token otherwise
@@ -84,7 +86,7 @@ class QuadraticForm(_Value):
         _set(self, "is_real", real)
         _set(self, "dim", pos + neg if real else declared_dim)
         _set(self, "key", f"({pos},{neg})" if real else ident)
-        _set(self, "memo_id", self.key if real else DECLARED_MEMO_PREFIX + ident)
+        _set(self, "memo_id", self.key if real else f"{DECLARED_MEMO_PREFIX}{declared_dim}:{ident}")
 
     def _astuple(self) -> tuple:
         return (self.kind, self.pos, self.neg, self.ident, self.declared_dim)

@@ -30,7 +30,7 @@ holds, per lattice:
   nothing, since it may be declared later.
 
 relations_check reads neither: its fingerprint side sums phi_det, which
-memos["twists"] keeps per oracle group, and its class route (t_equivalent)
+keeps one row per oracle group, and its class route (t_equivalent)
 reads only decomp's registries.  The Witt route of motivically_equivalent
 never reads memos["pic"] either, so a wrong entry there shows up as a
 disagreement.
@@ -276,17 +276,11 @@ def tate_element(model, twist: TateTwist) -> PicElement:
     return PicElement(model, tate=twist)
 
 
-def _require_registered(q: QuadraticForm, model) -> None:
-    """Refuse a declared form that the lattice does not hold under its key."""
-    if not q.is_real and not model.holds(q):
-        raise ModelError(f"declared form {q.key} is not registered")
-
-
 def generator_e(q: QuadraticForm, model) -> PicElement:
     """The generator e^q (the shifted reduced motive of {q = 1})."""
     if q.is_real:
         model.register_form(q)
-    _require_registered(q, model)
+    model.require_held(q)
     return PicElement._of_word(model, ZERO_TWIST, (((GEN_E, q.key), 1),))
 
 
@@ -314,7 +308,7 @@ def det(quadric: ProjectiveQuadric, model, flag=None) -> PicElement:
     if not form.is_real:
         if flag is not None:
             raise ModelError("declared quadrics admit no flag data")
-        _require_registered(form, model)
+        model.require_held(form)
         return PicElement(model, word={(GEN_DET, form.key): 1})
     if quadric.is_empty:
         if flag:
@@ -388,13 +382,25 @@ class InverseCheckReport(NamedTuple):
 
 
 def inverse_identity_check(q: QuadraticForm, model) -> InverseCheckReport:
-    """Verify e^q * e^{q'} is the constant Tate twist (n)[2n+1], n = dim(q)."""
+    """Verify e^q * e^{q'} is the constant Tate twist (n)[2n+1], n = dim(q).
+
+    The product is not built: at the first token of each oracle group its
+    value is phi_affine(q) + phi_affine(q'), evaluated in the order of the
+    product's word (shorter key first, then by key), so a refusal is the
+    one its sweep would raise.
+    """
     q_prime = model.prime_of(q)
-    product = generator_e(q, model) * generator_e(q_prime, model)
+    generator_e(q, model)
+    generator_e(q_prime, model)
+    first, second = sorted((q, q_prime), key=lambda form: _form_sort_key(form.key))
     expected = TateTwist(q.dim, 2 * q.dim + 1)
-    failures = sorted((token, value) for group, value in _sweep(product)
-                      if value != expected for token in group)
-    return InverseCheckReport(q.key, expected, tuple(failures))
+    failures = []
+    for group in model.token_groups():
+        token = group[0]
+        value = phi_affine(first, token, model) + phi_affine(second, token, model)
+        if value != expected:
+            failures.extend((t, value) for t in group)
+    return InverseCheckReport(q.key, expected, tuple(sorted(failures)))
 
 
 # ---------------------------------------------------------- independence
@@ -541,7 +547,7 @@ def relations_check(ps, qs, model) -> RelationsVerdict:
     decs_q = [registered_decomposition(Q, model) for Q in qs]
     model.separate([P.canonical_form for P in ps + qs])
     for P in ps + qs:
-        _require_registered(P.form, model)
+        model.require_held(P.form)
     signed = [(P, 1) for P in ps] + [(Q, -1) for Q in qs]
     sums = set()
     for tokens in model.token_groups():

@@ -7,11 +7,11 @@ closed along the tower, the largest pointed slot is the active index, and
 the twist of e^q reads off from that index alone.  Everything is driven by
 the point-existence oracle; no motive objects appear.
 
-The active index is memoized in the lattice's memos["tower"], one row per
-oracle group (form memo_id -> active index), the group read from the
-lattice's group_of map.  This route reads neither the twists layer nor its
-memo, and the twists layer never reads this one, so comparing the two
-routes compares two separate computations.
+The active index is memoized in the "tower" row of the extension's oracle
+group (form memo_id -> active index), which the lattice made when it filed
+the group, read through the lattice's rows_of map.  This route reads neither
+the twists layer nor its rows, and the twists layer never reads this one, so
+comparing the two routes compares two separate computations.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
 
     A pointed slot above an unpointed one breaks downward closure and means
     the model is invalid; that is a hard error, not a verdict, and it is
-    raised again on every call.
+    raised again on every call.  A declared form that the lattice does not
+    hold is refused before its index is stored.
     """
-    memo = model.memos["tower"]
-    group = model.group_of[extension]
-    row = memo.get(group) or memo.setdefault(group, {})  # one row for concurrent readers
+    row = model.rows_of[extension]["tower"]
     form = tower.form
-    # memo_id keeps a declared id that spells a real key off the real entry
+    # memo_id keeps a declared id that spells a real key, or names a
+    # registered id at another dimension, off the registered form's entry
     active = row.get(form.memo_id)
     if active is not None:
         return active
@@ -77,6 +77,7 @@ def active_index(tower: ProjectorTower, extension, model) -> int:
             active = i
         elif gap is None:
             gap = i
+    model.require_held(form)
     row[form.memo_id] = active
     return active
 

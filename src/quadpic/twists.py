@@ -7,12 +7,13 @@ comparing, hashing and ordering one are C tuple operations; only its group
 law, rendering and JSON run Python code.  The evaluators below compute, from Witt
 indices alone, the twist value of the affine-quadric generator e^q and of
 det(Q) at an extension of the lattice.  They memoize their values in the
-lattice's memos["twists"], which maps each oracle group to its pair of rows,
-(affine, det), each form memo_id -> value; so every token of a group shares
-one evaluation.  The group is one subscript of the lattice's group_of map,
-which refuses an unknown token before anything else is read.  The memo holds
-values only; an extension or form that the oracle refuses is refused again
-on every call.
+"affine" and "det" rows of the extension's oracle group, each form memo_id
+-> value, which the lattice made when it filed the group; so every token of
+a group shares one evaluation.  The rows are one subscript of the lattice's
+rows_of map, which refuses an unknown token before anything else is read.
+The memo holds values only; an extension or form that the oracle refuses is
+refused again on every call, and so is a declared form that the lattice
+does not hold, before its value is stored.
 """
 
 from __future__ import annotations
@@ -101,11 +102,9 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
     With P, P' the quadrics of q and q' and j_P, j_P' their Witt indices,
     the value is the difference of the two split sums over P' and P.
     """
-    memo = model.memos["twists"]
-    group = model.group_of[extension]
-    # setdefault, so that concurrent readers of a new group share one pair
-    row = (memo.get(group) or memo.setdefault(group, ({}, {})))[0]
-    # memo_id keeps a declared id that spells a real key off the real entry
+    row = model.rows_of[extension]["affine"]
+    # memo_id keeps a declared id that spells a real key, or names a
+    # registered id at another dimension, off the registered form's entry
     value = row.get(q.memo_id)
     if value is None:
         q_prime = model.prime_of(q)
@@ -114,21 +113,21 @@ def phi_affine(q: QuadraticForm, extension: str, model) -> TateTwist:
         value = split_quadric_sum(q_prime.dim - 2, j_pp) - split_quadric_sum(
             q.dim - 2, j_p
         )
+        model.require_held(q)
         row[q.memo_id] = value
     return value
 
 
 def phi_det(quadric: ProjectiveQuadric, extension: str, model) -> TateTwist:
     """Twist value of det(Q) at an extension: the split sum at i_W(Q_E)."""
-    group = model.group_of[extension]  # refuses an unknown token, also for the empty quadric
+    row = model.rows_of[extension]["det"]  # refuses an unknown token, also for the empty quadric
     if quadric.is_empty:
         return ZERO_TWIST
-    memo = model.memos["twists"]
-    row = (memo.get(group) or memo.setdefault(group, ({}, {})))[1]
     form = quadric.canonical_form
     value = row.get(form.memo_id)
     if value is None:
         j = model.witt_index(form, extension)
+        model.require_held(form)
         value = split_quadric_sum(quadric.dim, j)
         row[form.memo_id] = value
     return value

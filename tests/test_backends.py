@@ -28,7 +28,8 @@ from quadpic import (
     tate_element,
 )
 from quadpic.decomp import declare_decompositions
-from quadpic.twists import TateTwist
+from quadpic.tower import active_index, build_tower
+from quadpic.twists import TateTwist, phi_affine, phi_det
 from summand_reference import tate_counts
 
 real = QuadraticForm.real
@@ -78,6 +79,36 @@ def test_relations_refuse_the_form_the_lattice_did_not_register():
             relations_check(ps, qs, declared)
         assert str(exc.value) == "declared form (2,1) is not registered"
     assert relations_check([good], [good], declared) == (True, True)
+
+
+def test_a_declared_id_at_another_dimension_never_reaches_the_registered_rows():
+    # (2,1) is registered at dim 3; the same id at dim 5 (or dim 2, whose
+    # tower can be built) must be refused before any value is stored, so the
+    # registered form reads what a fresh lattice reads
+    _, declared = twin_lattices()
+    _, fresh = twin_lattices()
+    base = declared.base
+    wide, narrow = QuadraticForm.declared("(2,1)", 5), QuadraticForm.declared("(2,1)", 2)
+    calls = [
+        lambda: phi_det(ProjectiveQuadric(wide), base, declared),
+        lambda: phi_affine(wide, base, declared),
+        lambda: phi_det(ProjectiveQuadric(narrow), base, declared),
+        lambda: phi_affine(narrow, base, declared),
+        lambda: active_index(build_tower(narrow, declared), base, declared),
+    ]
+    for call in calls:
+        for _ in range(2):  # refused again on the second call
+            with pytest.raises(ModelError) as exc:
+                call()
+            assert str(exc.value) == "declared form (2,1) is not registered"
+
+    def values(model):
+        q = model.form("(2,1)")
+        return [(phi_det(ProjectiveQuadric(q), t, model), phi_affine(q, t, model),
+                 active_index(build_tower(q, model), t, model))
+                for t in model.extension_tokens()]
+
+    assert values(declared) == values(fresh)
 
 
 def _rost_summand():

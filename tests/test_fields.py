@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import re
 import time
@@ -19,6 +20,7 @@ from quadpic import (
     ProjectorTower,
     QuadraticForm,
     RealLattice,
+    TateTwist,
     active_index,
     build_tower,
     declared_lattice_from_data,
@@ -102,7 +104,8 @@ def test_unknown_extension_is_an_error():
 
 def test_witt_index_computes_once_per_form_and_level(monkeypatch):
     model = real_lattice(real_forms(8), depth=2)
-    model._witt_memo.clear()
+    for group in model.token_groups():
+        model.rows_of[group[0]]["witt"].clear()
     computed = []
     balanced = fields._balanced
 
@@ -134,11 +137,12 @@ def _memoized_answers(lattice, q, token):
 
 
 def _memo_entries(model):
-    """The (group, form) entries of the Witt, twist and tower memos, counted per memo."""
+    """The (group, form) entries of the Witt, twist and tower rows, counted per memo."""
+    rows = [model.rows_of[group[0]] for group in model.token_groups()]
     return [
-        sum(map(len, model._witt_memo.values())),
-        sum(len(affine) + len(det) for affine, det in model.memos["twists"].values()),
-        sum(map(len, model.memos["tower"].values())),
+        sum(len(r["witt"]) for r in rows),
+        sum(len(r["affine"]) + len(r["det"]) for r in rows),
+        sum(len(r["tower"]) for r in rows),
     ]
 
 
@@ -168,6 +172,71 @@ def test_token_added_at_a_known_level_answers_from_the_memo():
         for token in added:
             assert _memoized_answers(model, q, token) == _memoized_answers(fresh, q, token)
     assert _memo_entries(model) == sizes
+
+
+def _shared_rows(model):
+    """Whether the tokens of each oracle group share one row store, and no two
+    groups share one."""
+    stores = [model.rows_of[group[0]] for group in model.token_groups()]
+    return (all(model.rows_of[t] is rows for group, rows in zip(model.token_groups(), stores)
+                for t in group)
+            and len({id(rows) for rows in stores}) == len(stores))
+
+
+@pytest.mark.parametrize("backend", ["real", "declared"])
+def test_memo_rows_stay_shared_through_copies_and_pickles(backend):
+    forms = real_forms(6)
+    source = real_lattice(forms, depth=1)
+    model = (source if backend == "real"
+             else declared_lattice_from_data(lattice_to_data(source)))
+    keyed = [model.form(q.key) for q in forms]
+    for q in keyed:
+        for token in model.extension_tokens():
+            _memoized_answers(model, q, token)
+    assert _shared_rows(model) and all(_memo_entries(model)[1:])
+
+    for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert _shared_rows(copied)
+        assert {t: copied.rows_of[t] for t in copied.extension_tokens()} == {
+            t: model.rows_of[t] for t in model.extension_tokens()}
+        sizes = _memo_entries(copied)
+        # a read through one token of a group writes the row every token reads
+        group = max(copied.token_groups(), key=len)
+        assert len(group) > 1
+        row = copied.rows_of[group[0]]["affine"]
+        key, value = next(iter(row.items()))
+        row[key] = value + TateTwist(1, 0)
+        poisoned = next(q for q in keyed if q.memo_id == key)
+        assert {phi_affine(poisoned, t, copied) for t in group} == {row[key]}
+        row[key] = value
+
+        if backend == "real":
+            # a token added at a known level joins the rows of its level, and
+            # answers from them
+            before = set(copied.extension_tokens())
+            deep = real(6, 0)
+            copied.extend_by_grassmannian(
+                copied.base, Grassmannian(ProjectiveQuadric(deep), deep.dim // 2 - 1))
+            added = sorted(set(copied.extension_tokens()) - before)
+            assert added and all(copied.level(t) in {copied.level(b) for b in before}
+                                 for t in added)
+            for token in added:
+                assert any(copied.rows_of[token] is copied.rows_of[b] for b in before)
+                for q in keyed:
+                    _memoized_answers(copied, q, token)
+            assert _memo_entries(copied) == sizes
+            # a new level is a new group, with rows of its own
+            copied.separate([real(40, 0)])
+            new = [group for group in copied.token_groups() if not before & set(group)]
+            assert new
+        else:
+            # a hand-added token without a Witt row is a group of its own
+            copied.add_extension(Extension("late", copied.base, "ff:(2,1)"))
+            new = [["late"]]
+        assert _shared_rows(copied)
+        for group in new:
+            assert not any(copied.rows_of[group[0]].values())
+        assert all(model.rows_of[t] is not copied.rows_of[t] for t in model.extension_tokens())
 
 
 # ----------------------------------------------------------- rational points

@@ -782,6 +782,7 @@ def _reference_equality(x, y):
 
 
 def _reference_inverse_check(q, model):
+    """The inverse law through the product element e^q * e^{q'} and its sweep."""
     q_prime = model.prime_of(q)
     product = generator_e(q, model) * generator_e(q_prime, model)
     expected = TateTwist(q.dim, 2 * q.dim + 1)
@@ -790,6 +791,42 @@ def _reference_inverse_check(q, model):
         if value != expected for token in group
     )
     return InverseCheckReport(q.key, expected, tuple(failures))
+
+
+def _inverse_law_cases():
+    """name -> (lattice builder, forms to check in turn)."""
+    snapshot = lattice_to_data(real_lattice(real_forms(8), depth=2))
+    twins = lambda: declared_lattice_from_data(copy.deepcopy(TWINS))
+    spelled = QuadraticForm.declared("(2,1)", 3)
+    return {
+        # (9,0) is new to the lattice, and its prime (1,9) sorts before it
+        "real": (lambda: real_lattice(real_forms(8), depth=2),
+                 real_forms(8) + [real(9, 0), real(1, 9), spelled]),
+        "snapshot": (lambda: declared_lattice_from_data(snapshot),
+                     [QuadraticForm.declared(item["id"], item["dim"]) for item in snapshot["forms"]]
+                     + [real(2, 1), QuadraticForm.declared("(2,1)", 5)]),
+        "twins": (twins, [QuadraticForm.declared(item["id"], item["dim"])
+                          for item in TWINS["forms"]]),
+        # no prime link: registered without one, and not registered at all
+        "unlinked": (twins, [QuadraticForm.declared("c1p", 4), QuadraticForm.declared("c9", 3)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["real", "snapshot", "twins", "unlinked"])
+def test_the_inverse_law_answers_as_the_product_route(case):
+    # each side on a lattice of its own, the forms in turn: equal reports, or
+    # equal error types and texts, and equal registrations
+    build, forms = _inverse_law_cases()[case]
+    model, reference = build(), build()
+    outcomes = set()
+    for q in forms:
+        got = _outcome(lambda: inverse_identity_check(q, model))
+        assert got == _outcome(lambda: _reference_inverse_check(q, reference)), q
+        assert model.form_keys() == reference.form_keys()
+        outcomes.add(got[0] if got[0] != "ok" else ("ok", got[1].ok))
+    # TWINS links only c1 and c2, to primes without a link of their own
+    assert outcomes == ({"ModelError"} if case in ("twins", "unlinked")
+                        else {("ok", True), "ModelError"})
 
 
 def _reference_towers(model, forms):
@@ -1127,13 +1164,21 @@ def _row_group_models():
     }
 
 
+def _clear_memos(model):
+    """Empty the lattice's memos and every memo row of its oracle groups."""
+    model.memos.clear()
+    for group in model.token_groups():
+        for row in model.rows_of[group[0]].values():
+            row.clear()
+
+
 def _per_token(model, read):
     """_outcome of read(token) at every token, each from empty memos."""
     got = {}
     for token in model.extension_tokens():
-        model.memos.clear()
+        _clear_memos(model)
         got[token] = _outcome(lambda: read(token))
-    model.memos.clear()
+    _clear_memos(model)
     return got
 
 
@@ -1415,7 +1460,7 @@ def test_relations_from_det_rows_answer_as_the_quotient_route():
     assert len(lattices[0].token_groups()) > groups
 
     # a deep copy answers as the lattice it was copied from, rows included
-    assert lattices[0].memos["twists"]
+    assert any(lattices[0].rows_of[group[0]]["det"] for group in lattices[0].token_groups())
     check(*copy.deepcopy(lattices), small + big + [([quadric(16, 0)], [quadric(15, 1)])])
 
     # a declared snapshot with classes, and the twins with and without them;
@@ -1455,14 +1500,17 @@ RELATIONS_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RELATIONS_CASES))
 def test_a_poisoned_det_row_trips_the_relations_cross_check(case):
-    # the class route never reads memos["twists"], so a wrong det value in
-    # one of phi_det's rows either trips the cross-check or, where the pair
-    # is unequal anyway, leaves the verdict as it was
+    # the class route never reads the twists layer's rows, so a wrong det
+    # value in one of phi_det's rows either trips the cross-check or, where
+    # the pair is unequal anyway, leaves the verdict as it was
     model, ps, qs = RELATIONS_CASES[case]()
 
+    def det_rows():
+        return {model.group_of[tokens[0]]: model.rows_of[tokens[0]]["det"]
+                for tokens in model.token_groups()}
+
     def entries():
-        return {(group, memo_id) for group, (_, dets) in model.memos["twists"].items()
-                for memo_id in dets}
+        return {(group, memo_id) for group, dets in det_rows().items() for memo_id in dets}
 
     before = entries()
     verdict = relations_check(ps, qs, model)
@@ -1470,7 +1518,7 @@ def test_a_poisoned_det_row_trips_the_relations_cross_check(case):
     # a det value at every oracle group, the ones separate added included
     assert {group for group, _ in filled} == {model.group_of[g[0]] for g in model.token_groups()}
     for group, memo_id in sorted(filled, key=repr):
-        row = model.memos["twists"][group][1]
+        row = det_rows()[group]
         value = row[memo_id]
         row[memo_id] = value + TateTwist(0, 1)
         outcome = _outcome(lambda: relations_check(ps, qs, model))

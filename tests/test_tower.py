@@ -142,6 +142,12 @@ def _criterion_1_mismatches(q, tower, model):
     ]
 
 
+def _filled_rows(model, *names):
+    """The named rows of each oracle group where any of them holds an entry."""
+    return [rows for rows in ([model.rows_of[group[0]][name] for name in names]
+                              for group in model.token_groups()) if any(rows)]
+
+
 def test_a_poisoned_memo_never_feeds_the_other_route():
     # each route keeps its own memo, so a wrong entry in one shows up as a
     # disagreement at every token of its group instead of passing both sides
@@ -153,7 +159,7 @@ def test_a_poisoned_memo_never_feeds_the_other_route():
     assert len(group) > 1
 
     truth = phi_affine(q, token, model)
-    ((affine, det),) = model.memos["twists"].values()  # the rows of the one group read
+    ((affine, det),) = _filled_rows(model, "affine", "det")  # the rows of the one group read
     (key,) = affine  # the one (group, form) entry phi_affine made
     assert not det
     affine[key] = truth + TateTwist(1, 0)
@@ -165,7 +171,7 @@ def test_a_poisoned_memo_never_feeds_the_other_route():
     model = real_lattice(real_forms(6), depth=2)
     clean = real_lattice(real_forms(6), depth=2)
     slot = active_index(tower, token, model)
-    (row,) = model.memos["tower"].values()  # the row of the one group read
+    ((row,),) = _filled_rows(model, "tower")  # the row of the one group read
     (key,) = row  # the one (group, form) entry active_index made
     row[key] = slot - 1
     assert active_index(tower, token, model) == slot - 1
@@ -175,27 +181,35 @@ def test_a_poisoned_memo_never_feeds_the_other_route():
 
 
 def _imports_and_memo_keys(module: str):
-    """What a quadpic module imports from its siblings, and the memos it reads."""
+    """What a quadpic module imports from its siblings, the memos it names,
+    and the oracle-group rows it reads as rows_of[...][name]; any other use
+    of rows_of counts as a read of the row "?"."""
     path = Path(__file__).resolve().parents[1] / "src" / "quadpic" / f"{module}.py"
-    imported, memo_keys = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    imported, memo_keys, row_names, named = set(), set(), set(), set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             imported |= {(node.module, alias.name) for alias in node.names}
-        elif (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "memos"
-            and isinstance(node.slice, ast.Constant)
-        ):
-            memo_keys.add(node.slice.value)
-    return imported, memo_keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            inner = node.value
+            if isinstance(inner, ast.Attribute) and inner.attr == "memos":
+                memo_keys.add(node.slice.value)
+            elif (isinstance(inner, ast.Subscript) and isinstance(inner.value, ast.Attribute)
+                  and inner.value.attr == "rows_of"):
+                row_names.add(node.slice.value)
+                named.add(id(inner.value))
+    if any(isinstance(node, ast.Attribute) and node.attr == "rows_of" and id(node) not in named
+           for node in ast.walk(tree)):
+        row_names.add("?")
+    return imported, memo_keys, row_names
 
 
 def test_the_two_routes_share_only_the_twist_type():
-    # the read-off table and the tower memo live in tower, the split sums and
-    # their memo in twists; neither module reaches into the other
-    tower_imports, tower_memos = _imports_and_memo_keys("tower")
-    twists_imports, twists_memos = _imports_and_memo_keys("twists")
+    # the read-off table and the tower's row live in tower, the split sums and
+    # their rows in twists; neither module reaches into the other
+    tower_imports, tower_memos, tower_rows = _imports_and_memo_keys("tower")
+    twists_imports, twists_memos, twists_rows = _imports_and_memo_keys("twists")
     assert {name for module, name in tower_imports if module == "twists"} == {"TateTwist"}
     assert not any(module == "tower" for module, _ in twists_imports)
-    assert tower_memos == {"tower"} and twists_memos == {"twists"}
+    assert tower_rows == {"tower"} and twists_rows == {"affine", "det"}
+    assert not tower_memos and not twists_memos
